@@ -179,6 +179,32 @@ impl<'a> BiFmIndex<'a> {
         })
     }
 
+    /// The one right extension of a single-occurrence string `P`:
+    /// `(z, pair for P·z)`, or `None` when `P` ends the text. One block
+    /// visit on the primary. A one-row interval has one non-empty
+    /// child, and the mirror row is already that child's row (the
+    /// sibling derivation of a width-1 parent is the identity), so
+    /// there is nothing to derive.
+    #[inline]
+    pub fn extend_right_one(&self, bi: BiInterval) -> Option<(u8, BiInterval)> {
+        debug_assert_eq!(bi.len(), 1);
+        let (z, row) = self.fm.lf_step(bi.prim.lo)?;
+        let prim = Interval::new(row, row + 1);
+        Some((z, BiInterval { prim, ..bi }))
+    }
+
+    /// The one left extension of a single-occurrence string `P`:
+    /// `(z, pair for z·P)`, or `None` when `P` starts the text. One
+    /// block visit on the mirror; the primary row is unchanged.
+    #[inline]
+    pub fn extend_left_one(&self, bi: BiInterval) -> Option<(u8, BiInterval)> {
+        debug_assert_eq!(bi.len(), 1);
+        let (z, rank) = self.mirror.symbol_rank(bi.mirr.lo as usize)?;
+        let row = self.fm.c(z) + rank;
+        let mirr = Interval::new(row, row + 1);
+        Some((z, BiInterval { mirr, ..bi }))
+    }
+
     /// Append base `z` to the matched substring.
     #[inline]
     pub fn extend_right(&self, bi: BiInterval, z: u8) -> BiInterval {
@@ -309,6 +335,45 @@ mod tests {
                 reference(&fm, &fwd_fm, &[1, z]),
                 &format!("right z={z}"),
             );
+        }
+    }
+
+    #[test]
+    fn one_row_steps_match_the_fused_extensions() {
+        for occ_rate in [4usize, 64] {
+            let (fm, mirror, fwd_fm, text) = setup(b"gattacagattacaacgtacgtccggaatt", occ_rate);
+            let bi = BiFmIndex::new(&fm, &mirror);
+            let n = text.len() - 1;
+            let mut singletons = 0;
+            // Every substring occurring once, those touching either
+            // text end (sentinel successor or predecessor) included.
+            for lo in 0..n {
+                for hi in lo + 1..=n {
+                    let cur = reference(&fm, &fwd_fm, &text[lo..hi]);
+                    if cur.len() != 1 {
+                        continue;
+                    }
+                    singletons += 1;
+                    for (one, all) in [
+                        (bi.extend_right_one(cur), bi.extend_right_all(cur)),
+                        (bi.extend_left_one(cur), bi.extend_left_all(cur)),
+                    ] {
+                        let nonempty: Vec<(u8, BiInterval)> = (1..=4u8)
+                            .zip(all)
+                            .filter(|(_, child)| !child.is_empty())
+                            .collect();
+                        assert_eq!(one.into_iter().collect::<Vec<_>>(), nonempty);
+                    }
+                }
+            }
+            // The whole text occurs once and grows on neither side.
+            assert!(
+                singletons > n,
+                "rate {occ_rate}: only {singletons} one-row strings"
+            );
+            let whole = reference(&fm, &fwd_fm, &text[..n]);
+            assert_eq!(bi.extend_right_one(whole), None);
+            assert_eq!(bi.extend_left_one(whole), None);
         }
     }
 

@@ -254,6 +254,16 @@ impl FmIndex {
         self.c[sym as usize] + self.l.occ(sym, row as usize)
     }
 
+    /// The symbol `L[row]` and the row its LF step lands on, read with
+    /// one rank block visit ([`RankAll::symbol_rank`]); `None` when
+    /// `L[row]` is the sentinel. The whole extension of a one-row
+    /// interval: its only non-empty child is `[lf, lf + 1)`.
+    #[inline]
+    pub fn lf_step(&self, row: u32) -> Option<(u8, u32)> {
+        let (sym, rank) = self.l.symbol_rank(row as usize)?;
+        Some((sym, self.c[sym as usize] + rank))
+    }
+
     /// Bitmask (bit `sym - 1`) of the base symbols occurring in
     /// `L[iv.lo .. iv.hi)`; the sentinel is ignored. Costs `O(iv.len())`
     /// symbol reads — only profitable for small intervals, where it lets a

@@ -245,6 +245,30 @@ impl RankAll {
         }
     }
 
+    /// The symbol `L[i]` and its rank `occ(L[i], i)`, resolved with one
+    /// block visit: the packed word holding slot `i` and the tail counts
+    /// before it share a block. `None` for the sentinel slot, which has
+    /// no base rank and touches no block. This is the whole step of a
+    /// one-row interval, whose only non-empty extension is by `L[i]`.
+    #[inline]
+    pub fn symbol_rank(&self, i: usize) -> Option<(u8, u32)> {
+        debug_assert!(i < self.len, "index {i} out of bounds (len {})", self.len);
+        if i == self.dollar_pos {
+            return None;
+        }
+        let off = i % self.block_span;
+        // The scan reads every packed word up to and including slot i's.
+        cost::bump2(
+            CostKind::RankBlocks,
+            1,
+            CostKind::RankBytes,
+            Self::scan_bytes(off + 1),
+        );
+        let word = i / self.block_span * self.block_words + HEADER_WORDS + off / SLOTS_PER_WORD;
+        let sym = ((self.blocks[word] >> ((i % SLOTS_PER_WORD) * 2)) & 0b11) as u8 + 1;
+        Some((sym, self.block_counts_upto(i)[(sym - 1) as usize]))
+    }
+
     /// Bytes of block data a rank at offset `off` into its block reads:
     /// the checkpoint header plus every packed word the tail scan
     /// touches. Deterministic — this is the unit `search.rank_bytes_
@@ -521,6 +545,8 @@ mod tests {
         }
         for (i, &c) in l.iter().enumerate() {
             assert_eq!(r.symbol(i), c, "symbol({i})");
+            let want = (c != SENTINEL).then(|| (c, naive_occ(l, c, i)));
+            assert_eq!(r.symbol_rank(i), want, "symbol_rank({i}) rate {rate}");
         }
         // The pair fusion agrees with two independent lookups for every
         // boundary combination (same-block, cross-block, len, empty).
@@ -695,6 +721,12 @@ mod tests {
                 .get(CostKind::OccPairFused),
             0
         );
+        // A symbol plus its rank is one visit even at a block's last
+        // slot, and the sentinel slot touches no block.
+        let before = CostSnapshot::now();
+        assert_eq!(r.symbol_rank(127), Some((4, 31)));
+        assert_eq!(r.symbol_rank(4095), None);
+        assert_eq!(blocks_since(&before), 1);
         // Prefetch is free on the rank counters but its issue count is
         // tracked (in-range targets only).
         let before = CostSnapshot::now();

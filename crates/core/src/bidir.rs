@@ -20,6 +20,8 @@
 //! hook) is complete but overlapping; results are sorted and deduped
 //! either way.
 
+use std::sync::OnceLock;
+
 use kmm_bwt::{BiFmIndex, BiInterval, FmIndex, RankAll};
 use kmm_classic::Occurrence;
 use kmm_dna::BASES;
@@ -30,30 +32,20 @@ use crate::cancel::{CancelToken, Gate, Outcome};
 use crate::stats::SearchStats;
 use crate::stree::report_interval;
 
-/// One search of a scheme: process the pattern pieces in order
-/// [`SchemeSearch::pi`]; after the `i`-th piece the cumulative mismatch
-/// count must lie in `[lower[i], upper[i]]`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SchemeSearch {
-    /// Piece permutation (0-based). Must grow a contiguous window:
-    /// each piece is adjacent to the span already processed.
-    pub pi: Vec<usize>,
-    /// Cumulative lower mismatch bound per processed-piece prefix.
-    pub lower: Vec<usize>,
-    /// Cumulative upper mismatch bound per processed-piece prefix.
-    pub upper: Vec<usize>,
-}
-
-/// A full search scheme for one mismatch budget `k`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A full search scheme for one mismatch budget `k`: a set of searches,
+/// each processing the pattern pieces in an order `π` that grows a
+/// contiguous window, with the cumulative mismatch count after its
+/// `i`-th piece bounded to `[L[i], U[i]]`. A value is a handle on a
+/// static table or on the pigeonhole formula, so choosing a scheme per
+/// query allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Scheme {
     /// The mismatch budget the scheme enumerates.
     pub k: usize,
     /// Number of pattern pieces `P`.
     pub pieces: usize,
-    /// The searches; their union covers every error distribution
-    /// summing to at most `k`.
-    pub searches: Vec<SchemeSearch>,
+    /// The precomputed searches, or `None` for the pigeonhole family.
+    table: Option<&'static [RawSearch]>,
 }
 
 type RawSearch = (&'static [usize], &'static [usize], &'static [usize]);
@@ -92,14 +84,18 @@ const K3: &[RawSearch] = &[
 impl Scheme {
     /// The precomputed complete-and-disjoint scheme for `k <= 3`.
     pub fn optimum(k: usize) -> Option<Scheme> {
-        let raw = match k {
+        let table = match k {
             0 => K0,
             1 => K1,
             2 => K2,
             3 => K3,
             _ => return None,
         };
-        Some(Scheme::from_raw(k, raw))
+        Some(Scheme {
+            k,
+            pieces: table[0].0.len(),
+            table: Some(table),
+        })
     }
 
     /// The pigeonhole scheme for any `k`: `P = k + 1` pieces, search
@@ -109,124 +105,137 @@ impl Scheme {
     /// rightward with the full budget. Complete for every `k`, but the
     /// searches overlap, so downstream results must be deduped.
     pub fn pigeonhole(k: usize) -> Scheme {
-        let p = k + 1;
-        let searches = (0..p)
-            .map(|j| {
-                let pi: Vec<usize> = (0..=j).rev().chain(j + 1..p).collect();
-                let lower: Vec<usize> = (0..p).map(|i| i.min(j)).collect();
-                let upper: Vec<usize> = std::iter::once(0)
-                    .chain(std::iter::repeat(k).take(p - 1))
-                    .collect();
-                SchemeSearch { pi, lower, upper }
-            })
-            .collect();
         Scheme {
             k,
-            pieces: p,
-            searches,
+            pieces: k + 1,
+            table: None,
         }
     }
 
     /// The scheme [`BidirSearch`] uses for budget `k`: the precomputed
     /// table when one exists, the pigeonhole fallback otherwise.
     /// Setting `KMM_BIDIR_PIGEONHOLE=1` forces the fallback — the
-    /// planted-regression hook for the bench gate.
+    /// planted-regression hook for the bench gate. The variable is read
+    /// once per process.
     pub fn for_k(k: usize) -> Scheme {
-        let forced = std::env::var("KMM_BIDIR_PIGEONHOLE").is_ok_and(|v| v != "0");
-        if forced {
-            return Scheme::pigeonhole(k);
+        static FORCED: OnceLock<bool> = OnceLock::new();
+        let forced =
+            *FORCED.get_or_init(|| std::env::var("KMM_BIDIR_PIGEONHOLE").is_ok_and(|v| v != "0"));
+        match Scheme::optimum(k) {
+            Some(scheme) if !forced => scheme,
+            _ => Scheme::pigeonhole(k),
         }
-        Scheme::optimum(k).unwrap_or_else(|| Scheme::pigeonhole(k))
     }
 
-    fn from_raw(k: usize, raw: &[RawSearch]) -> Scheme {
-        let pieces = raw[0].0.len();
-        let searches = raw
-            .iter()
-            .map(|&(pi, lower, upper)| SchemeSearch {
-                pi: pi.to_vec(),
-                lower: lower.to_vec(),
-                upper: upper.to_vec(),
-            })
-            .collect();
-        Scheme {
-            k,
-            pieces,
-            searches,
+    /// Number of searches.
+    pub fn search_count(&self) -> usize {
+        self.table.map_or(self.pieces, <[RawSearch]>::len)
+    }
+
+    /// Entry `i` of search `j`: the piece processed `i`-th and the
+    /// cumulative `(lower, upper)` bounds after it.
+    fn entry(&self, j: usize, i: usize) -> (usize, usize, usize) {
+        match self.table {
+            Some(table) => (table[j].0[i], table[j].1[i], table[j].2[i]),
+            // Pieces j, j-1, ..., 0, then j+1, ..., P-1.
+            None => (
+                if i <= j { j - i } else { i },
+                i.min(j),
+                if i == 0 { 0 } else { self.k },
+            ),
         }
     }
 }
 
-/// One compiled DFS level: which pattern position is consumed, in which
-/// direction, and the mismatch bounds in force after consuming it.
-#[derive(Debug, Clone, Copy)]
-struct Step {
-    /// Pattern index matched at this level.
-    pos: usize,
-    /// `true` → [`BiFmIndex::extend_left_all`], else extend right.
+/// The most pieces a [`Plan`] holds on the stack. Only pigeonhole
+/// schemes (`P = k + 1`) come near it; budgets past it delegate.
+const MAX_PIECES: usize = 32;
+
+/// One scheme piece laid out on the DFS's step axis.
+#[derive(Debug, Clone, Copy, Default)]
+struct Piece {
+    /// One past the last step of this piece (the pieces tile `0..m`).
+    end: usize,
+    /// Step `t` consumes pattern position `origin − t` when the piece
+    /// extends the window leftward, `origin + t` when rightward.
+    origin: isize,
+    /// Whether the piece extends the matched window leftward.
     left: bool,
-    /// Cumulative upper bound of the piece this step belongs to.
+    /// Cumulative upper bound of this piece.
     upper: usize,
-    /// Minimum cumulative mismatches that must already be accrued after
-    /// this step for every remaining lower bound to stay reachable
-    /// (each later step can add at most one mismatch).
-    need: usize,
+    /// Max over this and every later piece of `lower − last step`.
+    /// Each step adds at most one mismatch, so after step `t` at least
+    /// `t + sufmax` must be accrued for every remaining lower bound to
+    /// stay reachable.
+    sufmax: isize,
 }
 
-/// Flatten one search into an `m`-step plan over the pattern pieces
-/// `[i·m/P, (i+1)·m/P)`. The first piece is consumed left-to-right;
+/// One scheme search over an `m`-symbol pattern, cut into the pieces
+/// `[i·m/P, (i+1)·m/P)`: the first piece is consumed left-to-right,
 /// every later piece extends whichever end of the matched window it
-/// touches. Requires `m >= P` so every piece is non-empty.
-fn compile_plan(search: &SchemeSearch, m: usize) -> Vec<Step> {
-    let p = search.pi.len();
-    debug_assert!(m >= p, "pieces must be non-empty");
-    let bounds: Vec<usize> = (0..=p).map(|i| i * m / p).collect();
-    let mut plan = Vec::with_capacity(m);
-    // Step index of the last step of each processed piece.
-    let mut ends = Vec::with_capacity(p);
-    let mut lo = bounds[search.pi[0]];
-    let mut hi = lo;
-    for (i, &piece) in search.pi.iter().enumerate() {
-        let (s, e) = (bounds[piece], bounds[piece + 1]);
-        let upper = search.upper[i];
-        if i == 0 || s == hi {
-            for pos in s..e {
-                plan.push(Step {
-                    pos,
-                    left: false,
-                    upper,
-                    need: 0,
-                });
-            }
-            hi = e;
+/// touches. `O(P)` to build, `O(1)` per step, no heap.
+#[derive(Debug, Clone, Copy)]
+struct Plan {
+    pieces: [Piece; MAX_PIECES],
+    m: usize,
+}
+
+impl Plan {
+    /// Plan search `j` of `scheme`. Requires `P <= m` so every piece is
+    /// non-empty, and `P <= MAX_PIECES`.
+    fn new(scheme: &Scheme, j: usize, m: usize) -> Plan {
+        let p = scheme.pieces;
+        debug_assert!(p <= m && p <= MAX_PIECES);
+        let bound = |piece: usize| piece * m / p;
+        let mut pieces = [Piece::default(); MAX_PIECES];
+        let mut lowers = [0usize; MAX_PIECES];
+        let (lo0, ..) = scheme.entry(j, 0);
+        let (mut lo, mut hi) = (bound(lo0), bound(lo0));
+        let mut t = 0;
+        for (i, slot) in pieces[..p].iter_mut().enumerate() {
+            let (piece, lower, upper) = scheme.entry(j, i);
+            let (s, e) = (bound(piece), bound(piece + 1));
+            let left = i > 0 && s != hi;
+            let origin = if left {
+                debug_assert_eq!(e, lo, "piece order must grow the window contiguously");
+                lo = s;
+                // Step t consumes e - 1, then e - 2, ...
+                (e - 1 + t) as isize
+            } else {
+                hi = e;
+                s as isize - t as isize
+            };
+            t += e - s;
+            lowers[i] = lower;
+            *slot = Piece {
+                end: t,
+                origin,
+                left,
+                upper,
+                sufmax: 0,
+            };
+        }
+        debug_assert_eq!(t, m);
+        let mut sufmax = isize::MIN;
+        for i in (0..p).rev() {
+            sufmax = sufmax.max(lowers[i] as isize - (pieces[i].end as isize - 1));
+            pieces[i].sufmax = sufmax;
+        }
+        Plan { pieces, m }
+    }
+
+    /// Step `t`, which lies in piece `piece`: the pattern position it
+    /// consumes and the least cumulative mismatch count it must leave.
+    #[inline]
+    fn step(&self, piece: usize, t: usize) -> (usize, usize) {
+        let p = &self.pieces[piece];
+        let pos = if p.left {
+            p.origin - t as isize
         } else {
-            debug_assert_eq!(e, lo, "piece order must grow the window contiguously");
-            for pos in (s..e).rev() {
-                plan.push(Step {
-                    pos,
-                    left: true,
-                    upper,
-                    need: 0,
-                });
-            }
-            lo = s;
-        }
-        ends.push(plan.len() - 1);
+            p.origin + t as isize
+        };
+        (pos as usize, (t as isize + p.sufmax).max(0) as usize)
     }
-    debug_assert_eq!(plan.len(), m);
-    // Lookahead lower bounds: at step t the budget already spent plus
-    // one per remaining step must reach every later piece's lower
-    // bound, or the branch can never satisfy the scheme.
-    for t in 0..m {
-        let mut need = 0usize;
-        for (i, &end) in ends.iter().enumerate() {
-            if end >= t {
-                need = need.max(search.lower[i].saturating_sub(end - t));
-            }
-        }
-        plan[t].need = need;
-    }
-    plan
 }
 
 /// The scheme-driven bidirectional searcher (`Method::Bidirectional`).
@@ -291,12 +300,13 @@ impl<'a> BidirSearch<'a> {
         self.search_scheme(pattern, &scheme, &gate, recorder)
     }
 
-    /// Degenerate budgets a partition scheme cannot express: a piece
-    /// would be empty (`m < P`) or every window matches trivially
-    /// (`k >= m`). Algorithm A answers those — same results, and they
-    /// are outside the regime bidirectionality accelerates anyway.
+    /// Budgets a partition scheme cannot express: a piece would be
+    /// empty (`m < P`), every window matches trivially (`k >= m`), or
+    /// the pieces overflow a stack plan (`P > 32`). Algorithm A answers
+    /// those — same results, and they are outside the regime
+    /// bidirectionality accelerates anyway.
     fn delegates(&self, pattern: &[u8], k: usize, scheme: &Scheme) -> bool {
-        k >= pattern.len() || pattern.len() < scheme.pieces
+        k >= pattern.len() || pattern.len() < scheme.pieces || scheme.pieces > MAX_PIECES
     }
 
     fn search_scheme<R: Recorder>(
@@ -306,32 +316,33 @@ impl<'a> BidirSearch<'a> {
         gate: &Gate<'_>,
         recorder: &R,
     ) -> Outcome<(Vec<Occurrence>, SearchStats)> {
-        let mut stats = SearchStats::default();
         let m = pattern.len();
         if m > self.text_len {
-            return Outcome::Complete((Vec::new(), stats));
+            return Outcome::Complete((Vec::new(), SearchStats::default()));
         }
-        let mut out = Vec::new();
+        let mut walk = Walk {
+            bi: self.bi,
+            text_len: self.text_len,
+            pattern,
+            gate,
+            recorder,
+            plan: Plan::new(scheme, 0, m),
+            out: Vec::new(),
+            stats: SearchStats::default(),
+        };
         {
             let _span = recorder.span(Phase::SearchDescend);
-            for search in &scheme.searches {
+            for j in 0..scheme.search_count() {
                 if gate.should_stop() {
                     break;
                 }
-                let plan = compile_plan(search, m);
-                self.dfs(
-                    &plan,
-                    0,
-                    self.bi.whole(),
-                    0,
-                    pattern,
-                    gate,
-                    &mut out,
-                    &mut stats,
-                    recorder,
-                );
+                walk.plan = Plan::new(scheme, j, m);
+                walk.dfs(0, 0, self.bi.whole(), 0);
             }
         }
+        let Walk {
+            mut out, mut stats, ..
+        } = walk;
         out.sort_unstable();
         // Disjoint schemes never duplicate; the pigeonhole fallback
         // does, and a duplicate is always the identical Occurrence.
@@ -341,88 +352,127 @@ impl<'a> BidirSearch<'a> {
         stats.record_into(recorder);
         Outcome::from_parts((out, stats), gate.tripped())
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn dfs<R: Recorder>(
-        &self,
-        plan: &[Step],
-        t: usize,
-        iv: BiInterval,
-        mism: usize,
-        pattern: &[u8],
-        gate: &Gate<'_>,
-        out: &mut Vec<Occurrence>,
-        stats: &mut SearchStats,
-        recorder: &R,
-    ) {
-        if gate.should_stop() {
+/// The state of one query's DFS over the current scheme search.
+struct Walk<'q, 'g, R> {
+    bi: BiFmIndex<'q>,
+    text_len: usize,
+    pattern: &'q [u8],
+    gate: &'q Gate<'g>,
+    recorder: &'q R,
+    plan: Plan,
+    out: Vec<Occurrence>,
+    stats: SearchStats,
+}
+
+impl<R: Recorder> Walk<'_, '_, R> {
+    /// Expand the node for the first `t` plan steps, matched as `iv`
+    /// with `mism` mismatches; step `t` lies in piece `piece`.
+    fn dfs(&mut self, piece: usize, t: usize, iv: BiInterval, mism: usize) {
+        if self.gate.should_stop() {
             return;
         }
-        stats.nodes_visited += 1;
+        self.stats.nodes_visited += 1;
+        let recorder = self.recorder;
         if recorder.wants_depths() {
             recorder.depth_expand(t);
         }
-        if t == plan.len() {
-            stats.leaves += 1;
-            recorder.observe(Hist::IntervalWidth, iv.len() as u64);
-            recorder.observe(Hist::TerminationDepth, t as u64);
+        let m = self.plan.m;
+        if t == m {
+            self.leaf(iv, t);
             // The primary interval matches the reversed full pattern,
             // exactly what the unidirectional searches locate through.
-            report_interval(self.bi.fm(), self.text_len, iv.prim, plan.len(), mism, out);
+            report_interval(self.bi.fm(), self.text_len, iv.prim, m, mism, &mut self.out);
             return;
         }
-        let step = plan[t];
-        // One fused block visit resolves all four children on the
-        // extended side; the other side's intervals follow by sibling
-        // counts without touching its blocks.
-        stats.rank_extensions += 1;
-        stats.occ_fused += 1;
-        let children = if step.left {
-            self.bi.extend_left_all(iv)
-        } else {
-            self.bi.extend_right_all(iv)
+        let Piece {
+            end, left, upper, ..
+        } = self.plan.pieces[piece];
+        let (pos, need) = self.plan.step(piece, t);
+        let want = self.pattern[pos];
+        let next_piece = piece + usize::from(t + 1 == end);
+        // The mismatch count after taking base `y`, if the scheme's
+        // bounds admit it.
+        let admit = |walk: &Self, y: u8| {
+            let nm = mism + usize::from(y != want);
+            if nm > upper {
+                walk.prune(t, PruneCause::Budget);
+                None
+            } else if nm < need {
+                walk.prune(t, PruneCause::Cutoff);
+                None
+            } else {
+                Some(nm)
+            }
         };
-        if let Some(next) = plan.get(t + 1) {
-            for child in &children {
-                if !child.is_empty() {
-                    if next.left {
+        self.stats.rank_extensions += 1;
+        let mut any_child = false;
+        if iv.len() == 1 {
+            // A one-row interval has a single non-empty child: one block
+            // visit on the extended side reads it, with no siblings to
+            // derive and no sibling blocks worth prefetching.
+            let only = if left {
+                self.bi.extend_left_one(iv)
+            } else {
+                self.bi.extend_right_one(iv)
+            };
+            for y in 1..=BASES as u8 {
+                match only {
+                    Some((z, child)) if z == y => {
+                        if let Some(nm) = admit(self, y) {
+                            any_child = true;
+                            self.dfs(next_piece, t + 1, child, nm);
+                        }
+                    }
+                    _ => self.prune(t, PruneCause::EmptyInterval),
+                }
+            }
+        } else {
+            // One fused block visit resolves all four children on the
+            // extended side; the other side's intervals follow by
+            // sibling counts without touching its blocks.
+            self.stats.occ_fused += 1;
+            let children = if left {
+                self.bi.extend_left_all(iv)
+            } else {
+                self.bi.extend_right_all(iv)
+            };
+            if t + 1 < m {
+                let next_left = self.plan.pieces[next_piece].left;
+                for child in children.iter().filter(|c| !c.is_empty()) {
+                    if next_left {
                         self.bi.prefetch_left(*child);
                     } else {
                         self.bi.prefetch_right(*child);
                     }
                 }
             }
-        }
-        let want = pattern[step.pos];
-        let mut any_child = false;
-        for y in 1..=BASES as u8 {
-            let child = children[(y - 1) as usize];
-            if child.is_empty() {
-                if recorder.wants_depths() {
-                    recorder.depth_prune(t + 1, PruneCause::EmptyInterval);
+            for (y, child) in (1..=BASES as u8).zip(children) {
+                if child.is_empty() {
+                    self.prune(t, PruneCause::EmptyInterval);
+                } else if let Some(nm) = admit(self, y) {
+                    any_child = true;
+                    self.dfs(next_piece, t + 1, child, nm);
                 }
-                continue;
             }
-            let nm = mism + usize::from(y != want);
-            if nm > step.upper {
-                if recorder.wants_depths() {
-                    recorder.depth_prune(t + 1, PruneCause::Budget);
-                }
-                continue;
-            }
-            if nm < step.need {
-                if recorder.wants_depths() {
-                    recorder.depth_prune(t + 1, PruneCause::Cutoff);
-                }
-                continue;
-            }
-            any_child = true;
-            self.dfs(plan, t + 1, child, nm, pattern, gate, out, stats, recorder);
         }
         if !any_child {
-            stats.leaves += 1;
-            recorder.observe(Hist::IntervalWidth, iv.len() as u64);
-            recorder.observe(Hist::TerminationDepth, (t + 1) as u64);
+            self.leaf(iv, t + 1);
+        }
+    }
+
+    /// Count a leaf: the walk stopped at `iv` after `depth` steps.
+    fn leaf(&mut self, iv: BiInterval, depth: usize) {
+        self.stats.leaves += 1;
+        self.recorder.observe(Hist::IntervalWidth, iv.len() as u64);
+        self.recorder.observe(Hist::TerminationDepth, depth as u64);
+    }
+
+    #[inline]
+    fn prune(&self, t: usize, cause: PruneCause) {
+        if self.recorder.wants_depths() {
+            self.recorder.depth_prune(t + 1, cause);
         }
     }
 }
@@ -433,17 +483,19 @@ mod tests {
     use kmm_bwt::{build_mirror, FmBuildConfig};
     use kmm_classic::naive;
 
-    /// Does `search` enumerate error distribution `d` (one count per
+    /// Search `j` of `scheme` as `(π[i], L[i], U[i])` triples.
+    fn triples(scheme: &Scheme, j: usize) -> Vec<(usize, usize, usize)> {
+        (0..scheme.pieces).map(|i| scheme.entry(j, i)).collect()
+    }
+
+    /// Does search `j` enumerate error distribution `d` (one count per
     /// piece)?
-    fn covers(search: &SchemeSearch, d: &[usize]) -> bool {
+    fn covers(scheme: &Scheme, j: usize, d: &[usize]) -> bool {
         let mut cum = 0;
-        for (i, &piece) in search.pi.iter().enumerate() {
+        triples(scheme, j).into_iter().all(|(piece, lower, upper)| {
             cum += d[piece];
-            if cum < search.lower[i] || cum > search.upper[i] {
-                return false;
-            }
-        }
-        true
+            (lower..=upper).contains(&cum)
+        })
     }
 
     /// Every error distribution with at most `k` errors over `p`
@@ -471,26 +523,22 @@ mod tests {
     /// The orders must grow a contiguous window and bounds must be
     /// sane monotone cumulative sequences.
     fn check_well_formed(scheme: &Scheme) {
-        for s in &scheme.searches {
-            assert_eq!(s.pi.len(), scheme.pieces);
-            assert_eq!(s.lower.len(), scheme.pieces);
-            assert_eq!(s.upper.len(), scheme.pieces);
-            let (mut lo, mut hi) = (s.pi[0], s.pi[0] + 1);
-            for &piece in &s.pi[1..] {
+        for j in 0..scheme.search_count() {
+            let search = triples(scheme, j);
+            let (mut lo, mut hi) = (search[0].0, search[0].0 + 1);
+            for &(piece, ..) in &search[1..] {
                 if piece + 1 == lo {
                     lo = piece;
                 } else {
-                    assert_eq!(piece, hi, "non-contiguous order {:?}", s.pi);
+                    assert_eq!(piece, hi, "non-contiguous order {search:?}");
                     hi = piece + 1;
                 }
             }
-            for i in 1..scheme.pieces {
-                assert!(s.lower[i] >= s.lower[i - 1]);
-                assert!(s.upper[i] >= s.upper[i - 1]);
+            for w in search.windows(2) {
+                assert!(w[1].1 >= w[0].1 && w[1].2 >= w[0].2, "{search:?}");
             }
-            for i in 0..scheme.pieces {
-                assert!(s.lower[i] <= s.upper[i]);
-                assert!(s.upper[i] <= scheme.k);
+            for &(_, lower, upper) in &search {
+                assert!(lower <= upper && upper <= scheme.k, "{search:?}");
             }
         }
     }
@@ -502,7 +550,9 @@ mod tests {
             assert_eq!(scheme.k, k);
             check_well_formed(&scheme);
             for d in distributions(k, scheme.pieces) {
-                let n = scheme.searches.iter().filter(|s| covers(s, &d)).count();
+                let n = (0..scheme.search_count())
+                    .filter(|&j| covers(&scheme, j, &d))
+                    .count();
                 assert_eq!(n, 1, "k={k} distribution {d:?} covered {n} times");
             }
         }
@@ -513,42 +563,84 @@ mod tests {
         for k in 1..=5 {
             let scheme = Scheme::pigeonhole(k);
             assert_eq!(scheme.pieces, k + 1);
+            assert_eq!(scheme.search_count(), k + 1);
             check_well_formed(&scheme);
             for d in distributions(k, scheme.pieces) {
-                let n = scheme.searches.iter().filter(|s| covers(s, &d)).count();
+                let n = (0..scheme.search_count())
+                    .filter(|&j| covers(&scheme, j, &d))
+                    .count();
                 assert!(n >= 1, "k={k} distribution {d:?} uncovered");
             }
         }
     }
 
+    /// Walk a plan the way the DFS does: `(pos, left, upper, need)` per
+    /// step, advancing the piece at each piece end.
+    fn walk_plan(plan: &Plan) -> Vec<(usize, bool, usize, usize)> {
+        let mut piece = 0;
+        (0..plan.m)
+            .map(|t| {
+                let (pos, need) = plan.step(piece, t);
+                let p = plan.pieces[piece];
+                piece += usize::from(t + 1 == p.end);
+                (pos, p.left, p.upper, need)
+            })
+            .collect()
+    }
+
     #[test]
     fn plans_consume_every_position_once_with_contiguous_windows() {
-        for k in 0..=3 {
-            let scheme = Scheme::optimum(k).unwrap();
-            for m in [scheme.pieces, 7, 12, 31] {
+        let schemes = (0..=3)
+            .map(|k| Scheme::optimum(k).unwrap())
+            .chain((1..=6).map(Scheme::pigeonhole));
+        for scheme in schemes {
+            for m in [scheme.pieces, 7, 12, 31, 100] {
                 if m < scheme.pieces {
                     continue;
                 }
-                for s in &scheme.searches {
-                    let plan = compile_plan(s, m);
-                    assert_eq!(plan.len(), m);
+                for j in 0..scheme.search_count() {
+                    let search = triples(&scheme, j);
+                    let steps = walk_plan(&Plan::new(&scheme, j, m));
+                    assert_eq!(steps.len(), m);
+                    let bounds: Vec<usize> =
+                        (0..=scheme.pieces).map(|i| i * m / scheme.pieces).collect();
+                    // Step index of the last step of each processed piece.
+                    let mut last = Vec::new();
                     let mut seen = vec![false; m];
-                    let (mut lo, mut hi) = (plan[0].pos, plan[0].pos);
-                    for step in &plan {
-                        assert!(!seen[step.pos], "position {} twice", step.pos);
-                        seen[step.pos] = true;
-                        if step.left {
-                            assert_eq!(step.pos + 1, lo);
-                            lo = step.pos;
+                    let (mut lo, mut hi) = (steps[0].0, steps[0].0);
+                    for (t, &(pos, left, upper, _)) in steps.iter().enumerate() {
+                        assert!(!seen[pos], "position {pos} twice");
+                        seen[pos] = true;
+                        if left {
+                            assert_eq!(pos + 1, lo);
+                            lo = pos;
                         } else {
-                            assert_eq!(step.pos, hi);
-                            hi = step.pos + 1;
+                            assert_eq!(pos, hi);
+                            hi = pos + 1;
+                        }
+                        let (piece, _, piece_upper) = search[last.len()];
+                        assert_eq!(upper, piece_upper);
+                        if (bounds[piece]..bounds[piece + 1]).all(|q| seen[q]) {
+                            last.push(t);
                         }
                     }
                     assert!(seen.iter().all(|&s| s));
-                    // The final need equals the search's last lower
-                    // bound: the piece-end check is exact at the leaf.
-                    assert_eq!(plan[m - 1].need, *s.lower.last().unwrap());
+                    assert_eq!(last.len(), scheme.pieces);
+                    // The O(1) lookahead equals the direct definition:
+                    // one mismatch per remaining step must still reach
+                    // every later piece's lower bound.
+                    for (t, step) in steps.iter().enumerate() {
+                        let need = last
+                            .iter()
+                            .zip(&search)
+                            .filter(|(&end, _)| end >= t)
+                            .map(|(&end, &(_, lower, _))| lower.saturating_sub(end - t))
+                            .max()
+                            .unwrap_or(0);
+                        assert_eq!(step.3, need, "k={} search {j} m={m} t={t}", scheme.k);
+                    }
+                    // The piece-end check is exact at the leaf.
+                    assert_eq!(steps[m - 1].3, search[scheme.pieces - 1].1);
                 }
             }
         }
@@ -599,6 +691,72 @@ mod tests {
                 let want = naive::find_k_mismatch(&s, &r, k);
                 let (got, _) = bd.search(&r, k);
                 assert_eq!(got, want, "s={s:?} r={r:?} k={k}");
+            }
+        }
+    }
+
+    /// Texts where most of the DFS runs on one-row intervals, and reads
+    /// at both text ends, where a one-row step meets the sentinel on the
+    /// primary (read at `n - m`) or the mirror (read at 0). Every budget
+    /// through both entry points must equal the naive scan, and the
+    /// depth profile must account for every node and every child: the
+    /// one-row step reports the same four child outcomes as the fused
+    /// 4-way step.
+    #[test]
+    fn one_row_steps_agree_with_naive_on_repeats_and_text_ends() {
+        use kmm_dna::genome::{markov, uniform, MarkovConfig};
+        use kmm_telemetry::ExplainRecorder;
+        let tandem = markov(
+            3_000,
+            &MarkovConfig {
+                tandem_fraction: 0.5,
+                tandem_len: 80,
+                ..MarkovConfig::default()
+            },
+            12,
+        );
+        let mut homopolymers = vec![1u8; 300];
+        homopolymers.extend(uniform(300, 4));
+        homopolymers.extend([3u8; 300]);
+        homopolymers.extend([1u8, 2].repeat(150));
+        for text in [tandem, homopolymers, uniform(2_000, 9)] {
+            let (fm, mirror, n) = setup_encoded(&text);
+            let bd = BidirSearch::new(&fm, &mirror, n);
+            for m in [12usize, 40] {
+                for start in [0, n / 3, n - m] {
+                    let mut read = text[start..start + m].to_vec();
+                    // Two substitutions, so low budgets miss the home
+                    // window and high ones reach it.
+                    for at in [m / 4, 3 * m / 4] {
+                        read[at] = read[at] % 4 + 1;
+                    }
+                    for k in 0..=6usize {
+                        let ctx = format!("n={n} m={m} start={start} k={k}");
+                        let want = naive::find_k_mismatch(&text, &read, k);
+                        let explain = ExplainRecorder::new();
+                        let (got, stats) = bd.search_recorded(&read, k, &explain);
+                        assert_eq!(got, want, "{ctx}");
+                        let token =
+                            CancelToken::with_deadline(std::time::Duration::from_secs(3600));
+                        let timed = bd.search_deadline_recorded(&read, k, &token, &NoopRecorder);
+                        assert!(!timed.is_truncated(), "{ctx}");
+                        assert_eq!(timed.into_inner(), (got, stats), "{ctx}");
+
+                        let rows = explain.take();
+                        let expanded: u64 = rows.iter().map(|r| r.expanded).sum();
+                        assert_eq!(expanded, stats.nodes_visited, "{ctx}");
+                        // Every node above the leaves reports four
+                        // children, each expanded or pruned one deeper.
+                        for d in 1..rows.len() {
+                            assert_eq!(
+                                rows[d].expanded + rows[d].pruned_total(),
+                                4 * rows[d - 1].expanded,
+                                "{ctx} depth {d}"
+                            );
+                        }
+                        assert!(rows.len() <= m + 1, "{ctx}");
+                    }
+                }
             }
         }
     }
@@ -673,6 +831,19 @@ mod tests {
         assert!(bd.search(&[], 1).0.is_empty());
         let long = kmm_dna::encode(b"acgtacgtacgt").unwrap();
         assert!(bd.search(&long, 1).0.is_empty());
+        // The largest stack plan (P = 32) and one piece past it, which
+        // Algorithm A answers.
+        let g = kmm_dna::genome::uniform(300, 8);
+        let (fm, mirror, n) = setup_encoded(&g);
+        let bd = BidirSearch::new(&fm, &mirror, n);
+        let r = g[100..160].to_vec();
+        for k in [31, 32] {
+            assert_eq!(
+                bd.search(&r, k).0,
+                naive::find_k_mismatch(&g, &r, k),
+                "k={k}"
+            );
+        }
     }
 
     #[test]

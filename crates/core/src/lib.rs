@@ -40,7 +40,7 @@ pub mod stats;
 pub mod stree;
 
 pub use algorithm_a::{AlgorithmA, BatchSearcher};
-pub use bidir::{BidirSearch, Scheme, SchemeSearch};
+pub use bidir::{BidirSearch, Scheme};
 pub use cancel::{CancelToken, Outcome};
 pub use cole::ColeSearch;
 pub use derive::{derive_path, mi_creation, DerivationAudit, StoredPath};

@@ -105,6 +105,20 @@ impl Phase {
         }
     }
 
+    /// The phase whose span encloses this one wherever both are
+    /// recorded: a query's preprocessing and walk run inside the query,
+    /// and a mapped read's strand queries inside the read. Stage totals
+    /// follow these links so that nested time is counted once.
+    pub fn parent(self) -> Option<Phase> {
+        match self {
+            Phase::PreprocessRarray | Phase::PreprocessPhi | Phase::SearchDescend => {
+                Some(Phase::SearchQuery)
+            }
+            Phase::SearchQuery => Some(Phase::SearchRead),
+            _ => None,
+        }
+    }
+
     /// Whether this phase roots one query's span tree (a search or a
     /// mapped read). Only traces rooted here compete for the slow-query
     /// flight recorder; other top-level phases (index load, standalone

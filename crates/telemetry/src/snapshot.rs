@@ -62,12 +62,24 @@ impl MetricsSnapshot {
             .map(|(_, h)| h)
     }
 
-    /// Total nanoseconds across all phases of one stage
-    /// (`"index"` / `"preprocess"` / `"search"`).
+    /// Wall nanoseconds spent in one stage (`"index"` /
+    /// `"preprocess"` / `"search"`): the sum over its outermost recorded
+    /// phases. A phase nested in a recorded same-stage ancestor
+    /// ([`Phase::parent`]) is already inside that ancestor's time, so
+    /// `search.descend` adds nothing once `search.query` is recorded.
     pub fn stage_total_ns(&self, stage: &str) -> u64 {
+        let recorded = |phase: Phase| {
+            self.phases
+                .iter()
+                .any(|p| p.name == phase.name() && p.stage == stage && p.entries > 0)
+        };
         self.phases
             .iter()
             .filter(|p| p.stage == stage)
+            .filter(|p| {
+                let parent = Phase::from_name(&p.name).and_then(Phase::parent);
+                !std::iter::successors(parent, |a| a.parent()).any(recorded)
+            })
             .map(|p| p.total_ns)
             .sum()
     }
@@ -431,6 +443,19 @@ mod tests {
             .sum();
         assert_eq!(snap.stage_total_ns("index"), index_sum);
         assert_eq!(snap.stage_total_ns("nonexistent"), 0);
+
+        // Nested phases count once: only the outermost recorded phase
+        // of a chain adds to its stage.
+        let rec = MetricsRecorder::new();
+        rec.phase_add(Phase::SearchDescend, 60);
+        rec.phase_add(Phase::PreprocessRarray, 30);
+        assert_eq!(rec.snapshot().stage_total_ns("search"), 60);
+        rec.phase_add(Phase::SearchQuery, 100);
+        assert_eq!(rec.snapshot().stage_total_ns("search"), 100);
+        rec.phase_add(Phase::SearchRead, 150);
+        assert_eq!(rec.snapshot().stage_total_ns("search"), 150);
+        // Nesting in another stage's phase does not hide a phase.
+        assert_eq!(rec.snapshot().stage_total_ns("preprocess"), 30);
     }
 
     #[test]

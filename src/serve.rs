@@ -1018,6 +1018,12 @@ impl<'a> EventLoop<'a> {
         if stream.set_nonblocking(true).is_err() {
             return;
         }
+        // Every response leaves in one write, so Nagle's algorithm only
+        // ever delays: with the previous response still unacknowledged
+        // (a client delaying its ACKs) it would hold this one until the
+        // client's next request carries the ACK. Best effort: a socket
+        // refusing the option still serves.
+        let _ = stream.set_nodelay(true);
         self.state.recorder.add(Counter::ServeConnsOpened, 1);
         // Failpoint `serve.conn.reset`: drop the connection at accept —
         // the client sees an abrupt reset, the loop carries on.

@@ -715,6 +715,66 @@ fn keep_alive_serves_multiple_requests_on_one_socket() {
     server.join();
 }
 
+/// A client that sends at a fixed gap and acknowledges lazily (a plain
+/// std socket: delayed ACKs, no `TCP_QUICKACK`) must get each response
+/// at once. With Nagle's algorithm on the daemon's socket, a single
+/// pipelined pair is enough to lock the connection into a state where
+/// every response waits for the next request to carry the ACK of the
+/// previous one, and latency reads as the gap.
+#[test]
+fn fixed_gap_keep_alive_responses_do_not_wait_for_the_next_request() {
+    const GAP: Duration = Duration::from_millis(20);
+    let (server, _idx) = start(ServeConfig::default());
+    let addr = server.addr();
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let mut reader = stream.try_clone().unwrap();
+    reader
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    let request = b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n";
+    // 10 requests, then a back-to-back pair (the second response is
+    // written while the first is unacknowledged), then 20 more.
+    const PAIR_AT: usize = 10;
+    const TOTAL: usize = 31;
+    let receiver = std::thread::spawn(move || {
+        let mut carry = Vec::new();
+        (0..TOTAL)
+            .map(|_| {
+                let (status, _, _) = read_one_response(&mut reader, &mut carry);
+                assert_eq!(status, 200);
+                std::time::Instant::now()
+            })
+            .collect::<Vec<_>>()
+    });
+    let start = std::time::Instant::now();
+    let mut sent = Vec::new();
+    for i in 0..TOTAL - 1 {
+        let due = start + GAP * i as u32;
+        std::thread::sleep(due.saturating_duration_since(std::time::Instant::now()));
+        let copies = if i == PAIR_AT { 2 } else { 1 };
+        for _ in 0..copies {
+            sent.push(std::time::Instant::now());
+            stream.write_all(request).unwrap();
+        }
+    }
+    let received = receiver.join().unwrap();
+    let mut after_pair: Vec<Duration> = received[PAIR_AT + 2..]
+        .iter()
+        .zip(&sent[PAIR_AT + 2..])
+        .map(|(r, s)| r.duration_since(*s))
+        .collect();
+    after_pair.sort();
+    let median = after_pair[after_pair.len() / 2];
+    assert!(
+        median < GAP / 2,
+        "responses wait for the next request: median {median:?} at a {GAP:?} gap"
+    );
+    drop(stream);
+    post(addr, "/shutdown", "");
+    server.join();
+}
+
 #[test]
 fn pipelined_requests_are_answered_in_order() {
     let (server, idx) = start(ServeConfig {

@@ -172,3 +172,35 @@ fn full_observability_stack_does_not_perturb_results() {
     }
     let _ = std::fs::remove_file(&log_path);
 }
+
+/// `--stats` prints a per-stage "search total". A mapped read's strand
+/// queries each nest a `search.descend` walk inside their
+/// `search.query`, so the stage total is the root phase's time, not the
+/// sum of both.
+#[test]
+fn recorded_bidir_map_counts_nested_search_time_once() {
+    use bwt_kmismatch::core::{MapperConfig, ReadMapper};
+    use bwt_kmismatch::par::ThreadPool;
+
+    let genome = bwt_kmismatch::dna::genome::uniform(20_000, 5);
+    let index = KMismatchIndex::new(genome.clone());
+    let mapper = ReadMapper::new(
+        &index,
+        MapperConfig {
+            k: 3,
+            both_strands: true,
+            method: Method::Bidirectional,
+        },
+    );
+    let reads: Vec<Vec<u8>> = (0..20)
+        .map(|i| genome[i * 900..i * 900 + 100].to_vec())
+        .collect();
+    let recorder = MetricsRecorder::new();
+    mapper.map_batch_recorded(&reads, &ThreadPool::new(2), &recorder);
+    let snap = recorder.snapshot();
+    let root = snap.phase(Phase::SearchQuery);
+    assert_eq!(root.entries, 40);
+    assert_eq!(snap.phase(Phase::SearchDescend).entries, 40);
+    assert!(snap.phase(Phase::SearchDescend).total_ns > 0);
+    assert_eq!(snap.stage_total_ns("search"), root.total_ns);
+}
