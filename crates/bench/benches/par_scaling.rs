@@ -21,7 +21,7 @@ fn bench_par_scaling(c: &mut Criterion) {
     for threads in [1usize, 2, 4, 8] {
         let pool = ThreadPool::new(threads);
         group.bench_with_input(
-            BenchmarkId::new("search_batch_par", threads),
+            BenchmarkId::new("search_batch", threads),
             &pool,
             |b, pool| {
                 b.iter(|| run_method_par(&idx, &w.reads, 2, Method::ALGORITHM_A, pool).occurrences)

@@ -104,21 +104,18 @@ pub struct TimedRun {
 
 /// Run `method` over every read and time the batch.
 pub fn run_method(index: &KMismatchIndex, reads: &[Vec<u8>], k: usize, method: Method) -> TimedRun {
-    // Cole needs the suffix tree and the bidirectional search the mirror
-    // rank structure; build them outside the timed region, like the
-    // paper ("the time for constructing BWT(s̄) is not included").
-    if matches!(method, Method::Cole) {
-        index.suffix_tree();
-    }
-    if matches!(method, Method::Bidirectional) {
-        index.mirror();
-    }
+    // Build what the method materialises lazily (suffix tree, mirror)
+    // outside the timed region, like the paper ("the time for
+    // constructing BWT(s̄) is not included").
+    index.prepare(method);
     let recorder = MetricsRecorder::new();
     let start = Instant::now();
     let mut stats = SearchStats::default();
     let mut occurrences = 0usize;
     for r in reads {
-        let res = index.search_recorded(r, k, method, &recorder);
+        let res = index
+            .search_with(r, k, method, None, &recorder)
+            .into_inner();
         occurrences += res.occurrences.len();
         stats.accumulate(&res.stats);
     }
@@ -132,7 +129,7 @@ pub fn run_method(index: &KMismatchIndex, reads: &[Vec<u8>], k: usize, method: M
 }
 
 /// [`run_method`] across a thread pool: the whole batch is fanned out
-/// with [`KMismatchIndex::search_batch_par`] and timed as one unit.
+/// with [`KMismatchIndex::search_batch`] and timed as one unit.
 /// Occurrence lists and accumulated stats are bit-identical to the
 /// serial run at any thread count; only `seconds` (and the latency
 /// percentiles, which measure real per-query wall time) vary.
@@ -143,19 +140,14 @@ pub fn run_method_par(
     method: Method,
     pool: &ThreadPool,
 ) -> TimedRun {
-    if matches!(method, Method::Cole) {
-        index.suffix_tree();
-    }
-    if matches!(method, Method::Bidirectional) {
-        index.mirror();
-    }
+    index.prepare(method);
     let recorder = MetricsRecorder::new();
     let start = Instant::now();
-    let (per_read, stats) = index.search_batch_par_recorded(reads, k, method, pool, &recorder);
+    let (per_read, stats) = index.search_batch(reads, k, method, pool, None, &recorder);
     TimedRun {
         method: method.label(),
         seconds: start.elapsed().as_secs_f64(),
-        occurrences: per_read.iter().map(Vec::len).sum(),
+        occurrences: per_read.iter().map(|o| o.value().len()).sum(),
         stats,
         latency: LatencyNs::from_recorder(&recorder),
     }

@@ -74,7 +74,7 @@ struct Query<'q, R: Recorder> {
     k: usize,
     reuse: bool,
     recorder: &'q R,
-    tree: &'q mut MTree,
+    tree: MTree,
     /// Pattern self-mismatch arrays (`R_1 … R_{m-1}`); retained for parity
     /// with the paper's preprocessing and used by the derivation checker.
     rtable: RTable,
@@ -100,39 +100,22 @@ impl<'a> AlgorithmA<'a> {
 
     /// All occurrences of `pattern` in the forward text with at most `k`
     /// mismatches, sorted by position, plus statistics.
-    pub fn search(&self, pattern: &[u8], k: usize) -> (Vec<Occurrence>, SearchStats) {
-        self.search_recorded(pattern, k, &NoopRecorder)
-    }
-
-    /// [`Self::search`] with telemetry: R-array preprocessing is timed as
-    /// `preprocess.rarray`, per-leaf interval widths and termination
-    /// depths go to histograms, and the final [`SearchStats`] are added
-    /// to the `search.*` counters.
-    pub fn search_recorded<R: Recorder>(
+    ///
+    /// R-array preprocessing is timed as `preprocess.rarray` on
+    /// `recorder`, per-leaf interval widths and termination depths go to
+    /// histograms, and the final [`SearchStats`] are added to the
+    /// `search.*` counters. With a `token`, the walk polls it at
+    /// node-expansion granularity and unwinds once it expires, returning
+    /// [`Outcome::Truncated`] with every occurrence verified so far.
+    pub fn search<R: Recorder>(
         &self,
         pattern: &[u8],
         k: usize,
-        recorder: &R,
-    ) -> (Vec<Occurrence>, SearchStats) {
-        let mut tree = MTree::new();
-        let (occ, stats, _) = self.run_with(pattern, k, false, &mut tree, recorder);
-        (occ, stats)
-    }
-
-    /// [`Self::search_recorded`] under a cancellation token: the walk
-    /// polls `token` at node-expansion granularity and unwinds once it
-    /// expires, returning [`Outcome::Truncated`] with every occurrence
-    /// verified so far.
-    pub fn search_deadline_recorded<R: Recorder>(
-        &self,
-        pattern: &[u8],
-        k: usize,
-        token: &CancelToken,
+        token: Option<&CancelToken>,
         recorder: &R,
     ) -> Outcome<(Vec<Occurrence>, SearchStats)> {
-        let mut tree = MTree::new();
-        let gate = Gate::new(Some(token));
-        let (occ, stats, _) = self.run_gated(pattern, k, false, &mut tree, &gate, recorder);
+        let gate = Gate::new(token);
+        let (occ, stats, _) = self.run(pattern, k, false, &gate, recorder);
         Outcome::from_parts((occ, stats), gate.tripped())
     }
 
@@ -144,47 +127,15 @@ impl<'a> AlgorithmA<'a> {
         pattern: &[u8],
         k: usize,
     ) -> (Vec<Occurrence>, SearchStats, DerivationAudit) {
-        let (occ, stats, audit) = self.run(pattern, k, true);
+        let (occ, stats, audit) = self.run(pattern, k, true, &Gate::new(None), &NoopRecorder);
         (occ, stats, audit.unwrap_or_default())
     }
 
-    fn run(
+    fn run<R: Recorder>(
         &self,
         pattern: &[u8],
         k: usize,
         audit: bool,
-    ) -> (Vec<Occurrence>, SearchStats, Option<DerivationAudit>) {
-        let mut tree = MTree::new();
-        self.run_with(pattern, k, audit, &mut tree, &NoopRecorder)
-    }
-
-    /// A reusable searcher that keeps the arena and pair table allocated
-    /// across queries — the right entry point for read batches.
-    pub fn searcher(&self) -> BatchSearcher<'a> {
-        BatchSearcher {
-            alg: *self,
-            tree: MTree::new(),
-        }
-    }
-
-    fn run_with<R: Recorder>(
-        &self,
-        pattern: &[u8],
-        k: usize,
-        audit: bool,
-        tree: &mut MTree,
-        recorder: &R,
-    ) -> (Vec<Occurrence>, SearchStats, Option<DerivationAudit>) {
-        let gate = Gate::open();
-        self.run_gated(pattern, k, audit, tree, &gate, recorder)
-    }
-
-    fn run_gated<R: Recorder>(
-        &self,
-        pattern: &[u8],
-        k: usize,
-        audit: bool,
-        tree: &mut MTree,
         gate: &Gate<'_>,
         recorder: &R,
     ) -> (Vec<Occurrence>, SearchStats, Option<DerivationAudit>) {
@@ -192,10 +143,6 @@ impl<'a> AlgorithmA<'a> {
         if m == 0 || m > self.text_len {
             return (Vec::new(), SearchStats::default(), None);
         }
-        // A warm arena (batch reuse) means this query allocates nothing
-        // for its node storage and pair table.
-        let reused_arena = tree.capacity() > 0;
-        tree.clear();
         let rtable = {
             let _span = recorder.span(Phase::PreprocessRarray);
             RTable::new(pattern, k)
@@ -207,7 +154,7 @@ impl<'a> AlgorithmA<'a> {
             k,
             reuse: self.reuse,
             recorder,
-            tree,
+            tree: MTree::new(),
             rtable,
             out: Vec::new(),
             stats: SearchStats::default(),
@@ -215,7 +162,6 @@ impl<'a> AlgorithmA<'a> {
             ctx: None,
             gate,
         };
-        q.stats.alloc_reused += u64::from(reused_arena);
         {
             let _span = recorder.span(Phase::SearchDescend);
             // Root level: one fused rank sweep expands the virtual root
@@ -266,6 +212,7 @@ impl<'a> AlgorithmA<'a> {
             mut stats,
             rtable,
             audit,
+            tree,
             ..
         } = q;
         let _ = rtable;
@@ -275,55 +222,6 @@ impl<'a> AlgorithmA<'a> {
         stats.timeouts = u64::from(gate.tripped());
         stats.record_into(recorder);
         (out, stats, audit)
-    }
-}
-
-/// Reusable Algorithm A searcher for read batches: the node arena and the
-/// pair hash table persist (cleared, capacity kept) between queries.
-#[derive(Debug)]
-pub struct BatchSearcher<'a> {
-    alg: AlgorithmA<'a>,
-    tree: MTree,
-}
-
-impl<'a> BatchSearcher<'a> {
-    /// As [`AlgorithmA::search`], reusing scratch allocations.
-    pub fn search(&mut self, pattern: &[u8], k: usize) -> (Vec<Occurrence>, SearchStats) {
-        self.search_recorded(pattern, k, &NoopRecorder)
-    }
-
-    /// As [`AlgorithmA::search_recorded`], reusing scratch allocations.
-    pub fn search_recorded<R: Recorder>(
-        &mut self,
-        pattern: &[u8],
-        k: usize,
-        recorder: &R,
-    ) -> (Vec<Occurrence>, SearchStats) {
-        let (occ, stats, _) = self
-            .alg
-            .run_with(pattern, k, false, &mut self.tree, recorder);
-        (occ, stats)
-    }
-
-    /// As [`AlgorithmA::search_deadline_recorded`], reusing scratch
-    /// allocations across the batch.
-    pub fn search_deadline_recorded<R: Recorder>(
-        &mut self,
-        pattern: &[u8],
-        k: usize,
-        token: &CancelToken,
-        recorder: &R,
-    ) -> Outcome<(Vec<Occurrence>, SearchStats)> {
-        let gate = Gate::new(Some(token));
-        let (occ, stats, _) =
-            self.alg
-                .run_gated(pattern, k, false, &mut self.tree, &gate, recorder);
-        Outcome::from_parts((occ, stats), gate.tripped())
-    }
-
-    /// Current arena capacity (retained across queries).
-    pub fn arena_capacity(&self) -> usize {
-        self.tree.capacity()
     }
 }
 
@@ -579,12 +477,12 @@ mod tests {
         let (fm, n) = rev_fm(s);
         let want = naive::find_k_mismatch(s, r, k);
         let alg = AlgorithmA::new(&fm, n);
-        let (got, stats) = alg.search(r, k);
+        let (got, stats) = alg.search(r, k, None, &NoopRecorder).into_inner();
         assert_eq!(got, want, "reuse=on s={s:?} r={r:?} k={k}");
         assert_eq!(stats.occurrences as usize, want.len());
         let mut no_reuse = AlgorithmA::new(&fm, n);
         no_reuse.reuse = false;
-        let (got, _) = no_reuse.search(r, k);
+        let (got, _) = no_reuse.search(r, k, None, &NoopRecorder).into_inner();
         assert_eq!(got, want, "reuse=off s={s:?} r={r:?} k={k}");
     }
 
@@ -594,7 +492,9 @@ mod tests {
         let r = kmm_dna::encode(b"tcaca").unwrap();
         check(&s, &r, 2);
         let (fm, n) = rev_fm(&s);
-        let (occ, _) = AlgorithmA::new(&fm, n).search(&r, 2);
+        let (occ, _) = AlgorithmA::new(&fm, n)
+            .search(&r, 2, None, &NoopRecorder)
+            .into_inner();
         assert_eq!(
             occ,
             vec![
@@ -617,7 +517,7 @@ mod tests {
         let r = kmm_dna::encode(b"acagacagacag").unwrap();
         let (fm, n) = rev_fm(&s);
         let alg = AlgorithmA::new(&fm, n);
-        let (occ, stats) = alg.search(&r, 2);
+        let (occ, stats) = alg.search(&r, 2, None, &NoopRecorder).into_inner();
         assert_eq!(occ, naive::find_k_mismatch(&s, &r, 2));
         assert!(stats.reuse_hits > 0, "expected pair sharing: {stats}");
     }
@@ -658,10 +558,10 @@ mod tests {
         let r = kmm_dna::encode(b"acgtacgaacgtacgtacga").unwrap();
         let (fm, n) = rev_fm(&s);
         let with = AlgorithmA::new(&fm, n);
-        let (occ_a, stats_with) = with.search(&r, 3);
+        let (occ_a, stats_with) = with.search(&r, 3, None, &NoopRecorder).into_inner();
         let mut without = AlgorithmA::new(&fm, n);
         without.reuse = false;
-        let (occ_b, stats_without) = without.search(&r, 3);
+        let (occ_b, stats_without) = without.search(&r, 3, None, &NoopRecorder).into_inner();
         assert_eq!(occ_a, occ_b);
         assert!(
             stats_with.rank_extensions <= stats_without.rank_extensions,
@@ -715,7 +615,9 @@ mod tests {
         let s = kmm_dna::encode(b"acagaca").unwrap();
         let r = kmm_dna::encode(b"aca").unwrap();
         let (fm, n) = rev_fm(&s);
-        let (occ, _) = AlgorithmA::new(&fm, n).search(&r, 0);
+        let (occ, _) = AlgorithmA::new(&fm, n)
+            .search(&r, 0, None, &NoopRecorder)
+            .into_inner();
         assert_eq!(
             occ.iter().map(|o| o.position).collect::<Vec<_>>(),
             vec![0, 4]
@@ -726,7 +628,9 @@ mod tests {
     fn whole_text_pattern() {
         let s = kmm_dna::encode(b"gattaca").unwrap();
         let (fm, n) = rev_fm(&s);
-        let (occ, _) = AlgorithmA::new(&fm, n).search(&s, 1);
+        let (occ, _) = AlgorithmA::new(&fm, n)
+            .search(&s, 1, None, &NoopRecorder)
+            .into_inner();
         assert_eq!(
             occ,
             vec![Occurrence {
@@ -737,33 +641,21 @@ mod tests {
     }
 
     #[test]
-    fn batch_searcher_matches_one_shot_and_keeps_capacity() {
-        let s = kmm_dna::encode(&b"acgtacgaacgt".repeat(40)).unwrap();
-        let (fm, n) = rev_fm(&s);
-        let alg = AlgorithmA::new(&fm, n);
-        let mut batch = alg.searcher();
-        let reads: Vec<Vec<u8>> = (0..6).map(|i| s[i * 20..i * 20 + 30].to_vec()).collect();
-        let mut cap_after_first = 0;
-        for (i, r) in reads.iter().enumerate() {
-            let (one_shot, _) = alg.search(r, 2);
-            let (batched, _) = batch.search(r, 2);
-            assert_eq!(one_shot, batched, "read {i}");
-            if i == 0 {
-                cap_after_first = batch.arena_capacity();
-            }
-        }
-        assert!(batch.arena_capacity() >= cap_after_first);
-        assert!(cap_after_first > 0);
-    }
-
-    #[test]
     fn empty_and_oversized() {
         let s = kmm_dna::encode(b"acg").unwrap();
         let (fm, n) = rev_fm(&s);
         let alg = AlgorithmA::new(&fm, n);
-        assert!(alg.search(&[], 1).0.is_empty());
+        assert!(alg
+            .search(&[], 1, None, &NoopRecorder)
+            .into_inner()
+            .0
+            .is_empty());
         let long = kmm_dna::encode(b"acgt").unwrap();
-        assert!(alg.search(&long, 1).0.is_empty());
+        assert!(alg
+            .search(&long, 1, None, &NoopRecorder)
+            .into_inner()
+            .0
+            .is_empty());
     }
 
     #[test]

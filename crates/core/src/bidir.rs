@@ -25,7 +25,7 @@ use std::sync::OnceLock;
 use kmm_bwt::{BiFmIndex, BiInterval, FmIndex, RankAll};
 use kmm_classic::Occurrence;
 use kmm_dna::BASES;
-use kmm_telemetry::{Hist, NoopRecorder, Phase, PruneCause, Recorder};
+use kmm_telemetry::{Hist, Phase, PruneCause, Recorder};
 
 use crate::algorithm_a::AlgorithmA;
 use crate::cancel::{CancelToken, Gate, Outcome};
@@ -257,47 +257,23 @@ impl<'a> BidirSearch<'a> {
     }
 
     /// All occurrences of `pattern` with at most `k` mismatches, sorted
-    /// by position, plus search statistics.
-    pub fn search(&self, pattern: &[u8], k: usize) -> (Vec<Occurrence>, SearchStats) {
-        self.search_recorded(pattern, k, &NoopRecorder)
-    }
-
-    /// [`Self::search`] with telemetry on `recorder` (depth profile,
-    /// leaf histograms, `search.*` counters).
-    pub fn search_recorded<R: Recorder>(
+    /// by position, plus search statistics, with telemetry on `recorder`
+    /// (depth profile, leaf histograms, `search.*` counters). With a
+    /// `token`, the walk polls it at node-expansion granularity and
+    /// returns [`Outcome::Truncated`] once it expires.
+    pub fn search<R: Recorder>(
         &self,
         pattern: &[u8],
         k: usize,
-        recorder: &R,
-    ) -> (Vec<Occurrence>, SearchStats) {
-        let scheme = Scheme::for_k(k);
-        if self.delegates(pattern, k, &scheme) {
-            return AlgorithmA::new(self.bi.fm(), self.text_len)
-                .search_recorded(pattern, k, recorder);
-        }
-        let gate = Gate::open();
-        match self.search_scheme(pattern, &scheme, &gate, recorder) {
-            Outcome::Complete(r) => r,
-            Outcome::Truncated(_) => unreachable!("open gate cannot trip"),
-        }
-    }
-
-    /// [`Self::search_recorded`] under a cancellation token, polled at
-    /// node-expansion granularity.
-    pub fn search_deadline_recorded<R: Recorder>(
-        &self,
-        pattern: &[u8],
-        k: usize,
-        token: &CancelToken,
+        token: Option<&CancelToken>,
         recorder: &R,
     ) -> Outcome<(Vec<Occurrence>, SearchStats)> {
         let scheme = Scheme::for_k(k);
         if self.delegates(pattern, k, &scheme) {
             return AlgorithmA::new(self.bi.fm(), self.text_len)
-                .search_deadline_recorded(pattern, k, token, recorder);
+                .search(pattern, k, token, recorder);
         }
-        let gate = Gate::new(Some(token));
-        self.search_scheme(pattern, &scheme, &gate, recorder)
+        self.search_scheme(pattern, &scheme, &Gate::new(token), recorder)
     }
 
     /// Budgets a partition scheme cannot express: a piece would be
@@ -482,6 +458,7 @@ mod tests {
     use super::*;
     use kmm_bwt::{build_mirror, FmBuildConfig};
     use kmm_classic::naive;
+    use kmm_telemetry::NoopRecorder;
 
     /// Search `j` of `scheme` as `(π[i], L[i], U[i])` triples.
     fn triples(scheme: &Scheme, j: usize) -> Vec<(usize, usize, usize)> {
@@ -668,7 +645,7 @@ mod tests {
         let (fm, mirror, n) = setup(b"acagaca");
         let bd = BidirSearch::new(&fm, &mirror, n);
         let r = kmm_dna::encode(b"tcaca").unwrap();
-        let (occ, stats) = bd.search(&r, 2);
+        let (occ, stats) = bd.search(&r, 2, None, &NoopRecorder).into_inner();
         let positions: Vec<usize> = occ.iter().map(|o| o.position).collect();
         assert_eq!(positions, vec![0, 2]);
         assert_eq!(occ[0].mismatches, 2);
@@ -689,7 +666,7 @@ mod tests {
             let r: Vec<u8> = (0..m).map(|_| rng.gen_range(1..=4)).collect();
             for k in 0..5usize {
                 let want = naive::find_k_mismatch(&s, &r, k);
-                let (got, _) = bd.search(&r, k);
+                let (got, _) = bd.search(&r, k, None, &NoopRecorder).into_inner();
                 assert_eq!(got, want, "s={s:?} r={r:?} k={k}");
             }
         }
@@ -734,11 +711,11 @@ mod tests {
                         let ctx = format!("n={n} m={m} start={start} k={k}");
                         let want = naive::find_k_mismatch(&text, &read, k);
                         let explain = ExplainRecorder::new();
-                        let (got, stats) = bd.search_recorded(&read, k, &explain);
+                        let (got, stats) = bd.search(&read, k, None, &explain).into_inner();
                         assert_eq!(got, want, "{ctx}");
                         let token =
                             CancelToken::with_deadline(std::time::Duration::from_secs(3600));
-                        let timed = bd.search_deadline_recorded(&read, k, &token, &NoopRecorder);
+                        let timed = bd.search(&read, k, Some(&token), &NoopRecorder);
                         assert!(!timed.is_truncated(), "{ctx}");
                         assert_eq!(timed.into_inner(), (got, stats), "{ctx}");
 
@@ -774,7 +751,7 @@ mod tests {
             let r: Vec<u8> = (0..m).map(|_| rng.gen_range(1..=4)).collect();
             for k in 1..=3usize {
                 let want = naive::find_k_mismatch(&s, &r, k);
-                let gate = Gate::open();
+                let gate = Gate::new(None);
                 let (got, _) = bd
                     .search_scheme(&r, &Scheme::pigeonhole(k), &gate, &NoopRecorder)
                     .into_inner();
@@ -795,11 +772,11 @@ mod tests {
             let (mut opt_nodes, mut pig_nodes) = (0u64, 0u64);
             for start in [500usize, 7_000, 40_000, 90_000] {
                 let r: Vec<u8> = g[start..start + 12].to_vec();
-                let gate = Gate::open();
+                let gate = Gate::new(None);
                 let (opt_occ, opt) = bd
                     .search_scheme(&r, &Scheme::optimum(k).unwrap(), &gate, &NoopRecorder)
                     .into_inner();
-                let gate = Gate::open();
+                let gate = Gate::new(None);
                 let (pig_occ, pig) = bd
                     .search_scheme(&r, &Scheme::pigeonhole(k), &gate, &NoopRecorder)
                     .into_inner();
@@ -820,17 +797,25 @@ mod tests {
         let bd = BidirSearch::new(&fm, &mirror, n);
         // k >= m: every window matches.
         let r = kmm_dna::encode(b"tt").unwrap();
-        let (occ, _) = bd.search(&r, 2);
+        let (occ, _) = bd.search(&r, 2, None, &NoopRecorder).into_inner();
         assert_eq!(occ.len(), n - 2 + 1);
         // m < pieces (k=2 needs 4): still exact.
         let r = kmm_dna::encode(b"acg").unwrap();
         let s = kmm_dna::encode(b"acgtacgtac").unwrap();
         let want = naive::find_k_mismatch(&s, &r, 2);
-        assert_eq!(bd.search(&r, 2).0, want);
+        assert_eq!(bd.search(&r, 2, None, &NoopRecorder).into_inner().0, want);
         // Empty and oversized patterns.
-        assert!(bd.search(&[], 1).0.is_empty());
+        assert!(bd
+            .search(&[], 1, None, &NoopRecorder)
+            .into_inner()
+            .0
+            .is_empty());
         let long = kmm_dna::encode(b"acgtacgtacgt").unwrap();
-        assert!(bd.search(&long, 1).0.is_empty());
+        assert!(bd
+            .search(&long, 1, None, &NoopRecorder)
+            .into_inner()
+            .0
+            .is_empty());
         // The largest stack plan (P = 32) and one piece past it, which
         // Algorithm A answers.
         let g = kmm_dna::genome::uniform(300, 8);
@@ -839,7 +824,7 @@ mod tests {
         let r = g[100..160].to_vec();
         for k in [31, 32] {
             assert_eq!(
-                bd.search(&r, k).0,
+                bd.search(&r, k, None, &NoopRecorder).into_inner().0,
                 naive::find_k_mismatch(&g, &r, k),
                 "k={k}"
             );
@@ -853,7 +838,7 @@ mod tests {
         let bd = BidirSearch::new(&fm, &mirror, len);
         let r: Vec<u8> = g[100..120].to_vec();
         let token = CancelToken::with_deadline(std::time::Duration::from_millis(0));
-        let out = bd.search_deadline_recorded(&r, 2, &token, &NoopRecorder);
+        let out = bd.search(&r, 2, Some(&token), &NoopRecorder);
         assert!(out.is_truncated());
         assert_eq!(out.value().1.timeouts, 1);
     }

@@ -39,7 +39,7 @@ pub mod spec;
 pub mod stats;
 pub mod stree;
 
-pub use algorithm_a::{AlgorithmA, BatchSearcher};
+pub use algorithm_a::AlgorithmA;
 pub use bidir::{BidirSearch, Scheme};
 pub use cancel::{CancelToken, Outcome};
 pub use cole::ColeSearch;

@@ -6,15 +6,15 @@
 //! only the forward text), best-hit selection, uniqueness classification
 //! and a simple mapping-quality heuristic.
 
-use kmm_classic::Occurrence;
 use kmm_dna::reverse_complement;
 use kmm_par::ThreadPool;
-use kmm_telemetry::{Counter, NoopRecorder, Phase, Recorder, TraceRecorder};
+use kmm_telemetry::{Counter, NoopRecorder, Phase, Recorder};
 
 use std::time::Duration;
 
 use crate::cancel::{CancelToken, Outcome};
-use crate::matcher::{KMismatchIndex, Method};
+use crate::matcher::{BatchJob, KMismatchIndex, Method};
+use crate::stats::SearchStats;
 
 /// Strand of a mapping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,71 +97,47 @@ impl<'a> ReadMapper<'a> {
 
     /// Map one read.
     pub fn map(&self, read: &[u8]) -> MapReport {
-        self.map_recorded(read, &NoopRecorder)
+        self.map_with(read, None, &NoopRecorder).into_inner()
     }
 
-    /// [`Self::map`] with telemetry: both strand queries record their
-    /// search phases/counters, plus `map.reads_total` and
-    /// `map.reads_mapped` ticks.
+    /// [`Self::map`] under an optional cancellation/deadline token shared
+    /// by both strand queries, with telemetry on `recorder`.
     ///
-    /// Under a span-collecting recorder the whole read becomes one root
-    /// `search.read` span with the strand queries nested inside it, so a
-    /// trace shows where a slow read spent its budget.
-    pub fn map_recorded<R: Recorder>(&self, read: &[u8], recorder: &R) -> MapReport {
-        let tracing = recorder.wants_spans();
-        if tracing {
-            recorder.annotate(&format!("read_len={} k={}", read.len(), self.config.k));
-            recorder.span_begin(Phase::SearchRead);
-        }
-        let report = self.map_traced(read, None, recorder).into_inner();
-        if tracing {
-            recorder.span_end(Phase::SearchRead);
-        }
-        report
-    }
-
-    /// [`Self::map`] under a cancellation/deadline token shared by both
-    /// strand queries: the read's whole work is bounded, and a read
-    /// whose budget expires mid-search returns [`Outcome::Truncated`]
-    /// with the alignments found so far (classification/mapq computed
-    /// over the partial set — flagged, never silently dropped).
-    pub fn map_with_deadline(&self, read: &[u8], token: &CancelToken) -> Outcome<MapReport> {
-        self.map_with_deadline_recorded(read, token, &NoopRecorder)
-    }
-
-    /// [`Self::map_with_deadline`] with telemetry; truncated reads
-    /// annotate their `search.read` span with `cancelled`.
-    pub fn map_with_deadline_recorded<R: Recorder>(
-        &self,
-        read: &[u8],
-        token: &CancelToken,
-        recorder: &R,
-    ) -> Outcome<MapReport> {
-        let tracing = recorder.wants_spans();
-        if tracing {
-            recorder.annotate(&format!("read_len={} k={}", read.len(), self.config.k));
-            recorder.span_begin(Phase::SearchRead);
-        }
-        let report = self.map_traced(read, Some(token), recorder);
-        if tracing {
-            if report.is_truncated() {
-                recorder.annotate("cancelled");
-            }
-            recorder.span_end(Phase::SearchRead);
-        }
-        report
-    }
-
-    fn map_traced<R: Recorder>(
+    /// Both strand queries record their search phases/counters, plus
+    /// `map.reads_total` and `map.reads_mapped` ticks. Under a
+    /// span-collecting recorder the whole read becomes one root
+    /// `search.read` span, labelled with the read length, `k` and method,
+    /// with the strand queries nested inside it, so a trace shows where a
+    /// slow read spent its budget. A read whose budget expires mid-search
+    /// returns [`Outcome::Truncated`] with the alignments found so far
+    /// (classification/mapq computed over the partial set: flagged,
+    /// never silently dropped) and annotates its span with `cancelled`.
+    pub fn map_with<R: Recorder>(
         &self,
         read: &[u8],
         token: Option<&CancelToken>,
         recorder: &R,
     ) -> Outcome<MapReport> {
+        let MapperConfig {
+            k,
+            both_strands,
+            method,
+        } = self.config;
+        let tracing = recorder.wants_spans();
+        if tracing {
+            recorder.annotate(&format!(
+                "read_len={} k={k} method={}",
+                read.len(),
+                method.label()
+            ));
+            recorder.span_begin(Phase::SearchRead);
+        }
         let mut all: Vec<Alignment> = Vec::new();
         let mut truncated = false;
-        let collect = |occ: Vec<Occurrence>, strand: Strand, all: &mut Vec<Alignment>| {
-            for o in occ {
+        let mut search = |pattern: &[u8], strand: Strand| {
+            let r = self.index.query(pattern, k, method, token, recorder, false);
+            truncated |= r.is_truncated();
+            for o in r.into_inner().occurrences {
                 all.push(Alignment {
                     position: o.position,
                     mismatches: o.mismatches,
@@ -169,29 +145,9 @@ impl<'a> ReadMapper<'a> {
                 });
             }
         };
-        let search = |pattern: &[u8], truncated: &mut bool| match token {
-            Some(token) => {
-                let r = self.index.search_with_deadline_recorded(
-                    pattern,
-                    self.config.k,
-                    self.config.method,
-                    token,
-                    recorder,
-                );
-                *truncated |= r.is_truncated();
-                r.into_inner()
-            }
-            None => {
-                self.index
-                    .search_recorded(pattern, self.config.k, self.config.method, recorder)
-            }
-        };
-        let fwd = search(read, &mut truncated);
-        collect(fwd.occurrences, Strand::Forward, &mut all);
-        if self.config.both_strands {
-            let rc = reverse_complement(read);
-            let rev = search(&rc, &mut truncated);
-            collect(rev.occurrences, Strand::Reverse, &mut all);
+        search(read, Strand::Forward);
+        if both_strands {
+            search(&reverse_complement(read), Strand::Reverse);
         }
         recorder.add(Counter::ReadsTotal, 1);
         if !all.is_empty() {
@@ -235,6 +191,12 @@ impl<'a> ReadMapper<'a> {
                 }
             }
         };
+        if tracing {
+            if truncated {
+                recorder.annotate("cancelled");
+            }
+            recorder.span_end(Phase::SearchRead);
+        }
         Outcome::from_parts(MapReport { outcome, all, mapq }, truncated)
     }
 
@@ -249,10 +211,7 @@ impl<'a> ReadMapper<'a> {
         self.map_batch_recorded(reads, pool, &NoopRecorder)
     }
 
-    /// [`Self::map_batch`] with telemetry: each worker records into a
-    /// private [`TraceRecorder`] shard (no shared atomics on the query
-    /// path), absorbed into `recorder` after the join. Span-collecting
-    /// recorders get per-read trace trees tagged with the worker id.
+    /// [`Self::map_batch`] with telemetry on `recorder`.
     pub fn map_batch_recorded<Rd, R>(
         &self,
         reads: &[Rd],
@@ -263,90 +222,45 @@ impl<'a> ReadMapper<'a> {
         Rd: AsRef<[u8]> + Sync,
         R: Recorder + Sync,
     {
-        if matches!(self.config.method, Method::Cole) {
-            self.index.suffix_tree();
-        }
-        let shard_metrics = recorder.enabled();
-        let tracing = recorder.wants_spans();
-        let epoch = recorder.trace_epoch();
-        pool.par_map_init(
-            reads,
-            |worker| shard_metrics.then(|| TraceRecorder::shard(epoch, worker as u32 + 1, tracing)),
-            |shard, i, read| match shard {
-                Some(shard) => {
-                    if tracing {
-                        shard.annotate(&format!("q={i}"));
-                    }
-                    self.map_recorded(read.as_ref(), shard)
-                }
-                None => self.map(read.as_ref()),
-            },
-            |shard| {
-                if let Some(shard) = shard {
-                    recorder.absorb(&shard.snapshot());
-                    if tracing {
-                        recorder.absorb_traces(shard.drain());
-                    }
-                }
-            },
-        )
+        self.map_batch_with(reads, pool, None, recorder)
+            .into_iter()
+            .map(Outcome::into_inner)
+            .collect()
     }
 
-    /// [`Self::map_batch`] with a **per-read** time budget: each read's
-    /// token is stamped as its mapping starts, so one pathological read
-    /// is truncated without starving the batch.
-    pub fn map_batch_with_deadline<Rd: AsRef<[u8]> + Sync>(
+    /// [`Self::map_batch`] with an optional **per-read** time budget and
+    /// telemetry. Each read's token is stamped as its mapping starts, so
+    /// one pathological read is truncated without starving the batch.
+    /// Telemetry is sharded per worker as
+    /// [`KMismatchIndex::search_batch`] describes.
+    pub fn map_batch_with<Rd, R>(
         &self,
         reads: &[Rd],
         pool: &ThreadPool,
-        per_read: Duration,
-    ) -> Vec<Outcome<MapReport>> {
-        self.map_batch_with_deadline_recorded(reads, pool, per_read, &NoopRecorder)
-    }
-
-    /// [`Self::map_batch_with_deadline`] with telemetry, sharded per
-    /// worker like [`Self::map_batch_recorded`].
-    pub fn map_batch_with_deadline_recorded<Rd, R>(
-        &self,
-        reads: &[Rd],
-        pool: &ThreadPool,
-        per_read: Duration,
+        per_read: Option<Duration>,
         recorder: &R,
     ) -> Vec<Outcome<MapReport>>
     where
         Rd: AsRef<[u8]> + Sync,
         R: Recorder + Sync,
     {
-        if matches!(self.config.method, Method::Cole) {
-            self.index.suffix_tree();
-        }
-        let shard_metrics = recorder.enabled();
-        let tracing = recorder.wants_spans();
-        let epoch = recorder.trace_epoch();
-        pool.par_map_init(
-            reads,
-            |worker| shard_metrics.then(|| TraceRecorder::shard(epoch, worker as u32 + 1, tracing)),
-            |shard, i, read| {
-                let token = CancelToken::with_deadline(per_read);
-                match shard {
-                    Some(shard) => {
-                        if tracing {
-                            shard.annotate(&format!("q={i}"));
-                        }
-                        self.map_with_deadline_recorded(read.as_ref(), &token, shard)
-                    }
-                    None => self.map_with_deadline(read.as_ref(), &token),
-                }
-            },
-            |shard| {
-                if let Some(shard) = shard {
-                    recorder.absorb(&shard.snapshot());
-                    if tracing {
-                        recorder.absorb_traces(shard.drain());
-                    }
-                }
-            },
-        )
+        self.index
+            .run_batch(self.config.method, reads, pool, per_read, recorder, self)
+            .0
+    }
+}
+
+impl BatchJob for ReadMapper<'_> {
+    type Output = MapReport;
+
+    fn run<R: Recorder>(
+        &self,
+        read: &[u8],
+        token: Option<&CancelToken>,
+        _stats: &mut SearchStats,
+        recorder: &R,
+    ) -> Outcome<MapReport> {
+        self.map_with(read, token, recorder)
     }
 }
 

@@ -300,84 +300,120 @@ impl KMismatchIndex {
         self.mirror.get().map(|m| m.heap_bytes())
     }
 
+    /// Build what `method` materialises lazily, so that no query pays for
+    /// it: the forward text for the scanners and SeedFilter, the suffix
+    /// tree for Cole, and the mirror rank structure for Bidir. The batch
+    /// entry points call this before their workers start, so no worker
+    /// blocks on another's `OnceLock` initialiser.
+    pub fn prepare(&self, method: Method) {
+        match method {
+            Method::Naive | Method::Kangaroo | Method::Amir | Method::SeedFilter => {
+                self.text();
+            }
+            Method::Cole => {
+                self.suffix_tree();
+            }
+            Method::Bidirectional => {
+                self.mirror();
+            }
+            Method::Bwt { .. } | Method::AlgorithmA { .. } => {}
+        }
+    }
+
     /// Answer a query with the chosen method. All methods return identical
     /// occurrence lists (sorted by position, annotated with the Hamming
     /// distance).
     pub fn search(&self, pattern: &[u8], k: usize, method: Method) -> SearchResult {
-        self.search_recorded(pattern, k, method, &NoopRecorder)
+        self.search_with(pattern, k, method, None, &NoopRecorder)
+            .into_inner()
     }
 
-    /// [`Self::search`] with telemetry: the whole query is timed as the
-    /// `search.query` phase and the `search.latency_ns` histogram, one
-    /// `search.queries` tick is added, and the method's [`SearchStats`]
-    /// land in the `search.*` counters. With a
-    /// [`kmm_telemetry::NoopRecorder`] this is exactly [`Self::search`].
+    /// [`Self::search`] under an optional cancellation/deadline token,
+    /// with telemetry on `recorder`.
     ///
-    /// Under a span-collecting recorder ([`TraceRecorder`]) the query
-    /// additionally becomes one root `search.query` span — with the
-    /// method's internal phases nested inside it — annotated with the
-    /// pattern length, `k`, and method label.
-    pub fn search_recorded<R: Recorder>(
+    /// The whole query is timed as the `search.query` phase and the
+    /// `search.latency_ns` histogram, one `search.queries` tick is added,
+    /// and the method's [`SearchStats`] land in the `search.*` counters.
+    /// With `None` and a [`NoopRecorder`] this is exactly
+    /// [`Self::search`]. Under a span-collecting recorder
+    /// ([`TraceRecorder`]) the query becomes one root `search.query`
+    /// span, with the method's internal phases nested inside it,
+    /// annotated with the pattern length, `k`, and method label.
+    ///
+    /// With a token, the tree methods (`Bwt`, `AlgorithmA`, `Bidirectional`)
+    /// poll it at node-expansion granularity; the online scanners
+    /// (`Naive`, `Kangaroo`, `Amir`) poll between ~4 Ki-position text
+    /// chunks; the remaining baselines (`Cole`, `SeedFilter`) only honour
+    /// a token that is already expired at entry (they are comparison
+    /// baselines, not serving paths). A truncated query returns
+    /// [`Outcome::Truncated`] carrying every occurrence verified before
+    /// the budget expired, sets `stats.timeouts = 1` (ticking the
+    /// `search.timeouts` counter), and, under a tracing recorder,
+    /// annotates its span with `cancelled`.
+    pub fn search_with<R: Recorder>(
         &self,
         pattern: &[u8],
         k: usize,
         method: Method,
+        token: Option<&CancelToken>,
         recorder: &R,
-    ) -> SearchResult {
+    ) -> Outcome<SearchResult> {
+        self.query(pattern, k, method, token, recorder, true)
+    }
+
+    /// The one query path behind every entry point. `root` is false when
+    /// the caller has already opened (and labelled) the root span, as a
+    /// mapped read does for its strand queries: the nested query then
+    /// adds no annotations of its own.
+    pub(crate) fn query<R: Recorder>(
+        &self,
+        pattern: &[u8],
+        k: usize,
+        method: Method,
+        token: Option<&CancelToken>,
+        recorder: &R,
+        root: bool,
+    ) -> Outcome<SearchResult> {
         let tracing = recorder.wants_spans();
         if tracing {
-            recorder.annotate(&format!(
-                "m={} k={k} method={}",
-                pattern.len(),
-                method.label()
-            ));
+            if root {
+                recorder.annotate(&format!(
+                    "m={} k={k} method={}",
+                    pattern.len(),
+                    method.label()
+                ));
+            }
             recorder.span_begin(Phase::SearchQuery);
         }
         let start = recorder.enabled().then(Instant::now);
         let cost_start = CostSnapshot::now();
-        let mut result = match method {
-            Method::Naive => SearchResult {
-                occurrences: naive::find_k_mismatch(self.text(), pattern, k),
-                stats: SearchStats::default(),
-            },
-            Method::Kangaroo => SearchResult {
-                occurrences: kangaroo::find_k_mismatch(self.text(), pattern, k),
-                stats: SearchStats::default(),
-            },
-            Method::Amir => SearchResult {
-                occurrences: amir::find_k_mismatch(self.text(), pattern, k),
-                stats: SearchStats::default(),
-            },
-            Method::Cole => {
-                let (occurrences, stats) = ColeSearch::new(self.suffix_tree()).search(pattern, k);
-                stats.record_into(recorder);
-                SearchResult { occurrences, stats }
-            }
+        let outcome = match method {
+            Method::Naive => self.scan(pattern, k, token, recorder, naive::find_k_mismatch),
+            Method::Kangaroo => self.scan(pattern, k, token, recorder, kangaroo::find_k_mismatch),
+            Method::Amir => self.scan(pattern, k, token, recorder, amir::find_k_mismatch),
+            Method::Cole => unless_expired(token, recorder, || {
+                ColeSearch::new(self.suffix_tree()).search(pattern, k)
+            }),
             Method::Bwt { use_phi } => {
                 let mut st = STreeSearch::new(&self.fm, self.len);
                 st.use_phi = use_phi;
-                let (occurrences, stats) = st.search_recorded(pattern, k, recorder);
-                SearchResult { occurrences, stats }
+                st.search(pattern, k, token, recorder)
             }
             Method::AlgorithmA { reuse } => {
                 let mut alg = AlgorithmA::new(&self.fm, self.len);
                 alg.reuse = reuse;
-                let (occurrences, stats) = alg.search_recorded(pattern, k, recorder);
-                SearchResult { occurrences, stats }
+                alg.search(pattern, k, token, recorder)
             }
-            Method::SeedFilter => {
-                let sf = SeedFilterSearch::new(&self.fm, self.text());
-                let (occurrences, stats) = sf.search(pattern, k);
-                stats.record_into(recorder);
-                SearchResult { occurrences, stats }
-            }
-            Method::Bidirectional => {
-                let bd = BidirSearch::new(&self.fm, self.mirror(), self.len);
-                let (occurrences, stats) = bd.search_recorded(pattern, k, recorder);
-                SearchResult { occurrences, stats }
-            }
+            Method::SeedFilter => unless_expired(token, recorder, || {
+                SeedFilterSearch::new(&self.fm, self.text()).search(pattern, k)
+            }),
+            Method::Bidirectional => BidirSearch::new(&self.fm, self.mirror(), self.len)
+                .search(pattern, k, token, recorder),
         };
-        attribute_costs(&mut result.stats, &cost_start, recorder);
+        let outcome = outcome.map(|(occurrences, mut stats)| {
+            attribute_costs(&mut stats, &cost_start, recorder);
+            SearchResult { occurrences, stats }
+        });
         if let Some(start) = start {
             let ns = start.elapsed().as_nanos() as u64;
             recorder.phase_add(Phase::SearchQuery, ns);
@@ -385,11 +421,14 @@ impl KMismatchIndex {
         }
         recorder.add(Counter::Queries, 1);
         if tracing {
+            if root && outcome.is_truncated() {
+                recorder.annotate("cancelled");
+            }
             // Close the root after the query counter so the trace's
             // per-query counter deltas include it.
             recorder.span_end(Phase::SearchQuery);
         }
-        result
+        outcome
     }
 
     /// EXPLAIN one query: run it once per method with an
@@ -417,7 +456,8 @@ impl KMismatchIndex {
             let mem_before = mem_stats();
             let result = {
                 let _mem = phase_scope(MemPhase::Search);
-                self.search_recorded(pattern, k, method, &recorder)
+                self.search_with(pattern, k, method, None, &recorder)
+                    .into_inner()
             };
             let mem_after = mem_stats();
             report.methods.push(MethodCost {
@@ -431,164 +471,36 @@ impl KMismatchIndex {
         report
     }
 
-    /// [`Self::search`] under a cancellation/deadline token: see
-    /// [`Self::search_with_deadline_recorded`].
-    pub fn search_with_deadline(
-        &self,
-        pattern: &[u8],
-        k: usize,
-        method: Method,
-        token: &CancelToken,
-    ) -> Outcome<SearchResult> {
-        self.search_with_deadline_recorded(pattern, k, method, token, &NoopRecorder)
-    }
-
-    /// [`Self::search_recorded`] under a cancellation/deadline token.
-    ///
-    /// The tree methods (`Bwt`, `AlgorithmA`) poll the token at
-    /// node-expansion granularity; the online scanners (`Naive`,
-    /// `Kangaroo`, `Amir`) poll between ~4 Ki-position text chunks; the
-    /// remaining baselines (`Cole`, `SeedFilter`) only honour a token
-    /// that is already expired at entry (they are comparison baselines,
-    /// not serving paths). A truncated query returns
-    /// [`Outcome::Truncated`] carrying every occurrence verified before
-    /// the budget expired, sets `stats.timeouts = 1` (ticking the
-    /// `search.timeouts` counter), and — under a tracing recorder —
-    /// annotates its span with `cancelled`.
-    pub fn search_with_deadline_recorded<R: Recorder>(
-        &self,
-        pattern: &[u8],
-        k: usize,
-        method: Method,
-        token: &CancelToken,
-        recorder: &R,
-    ) -> Outcome<SearchResult> {
-        let tracing = recorder.wants_spans();
-        if tracing {
-            recorder.annotate(&format!(
-                "m={} k={k} method={}",
-                pattern.len(),
-                method.label()
-            ));
-            recorder.span_begin(Phase::SearchQuery);
-        }
-        let start = recorder.enabled().then(Instant::now);
-        let cost_start = CostSnapshot::now();
-        let outcome = match method {
-            Method::Naive => {
-                self.scan_with_deadline(pattern, k, token, recorder, naive::find_k_mismatch)
-            }
-            Method::Kangaroo => {
-                self.scan_with_deadline(pattern, k, token, recorder, kangaroo::find_k_mismatch)
-            }
-            Method::Amir => {
-                self.scan_with_deadline(pattern, k, token, recorder, amir::find_k_mismatch)
-            }
-            Method::Cole => {
-                if token.is_expired() {
-                    Outcome::Truncated(self.truncated_at_entry(recorder))
-                } else {
-                    let (occurrences, stats) =
-                        ColeSearch::new(self.suffix_tree()).search(pattern, k);
-                    stats.record_into(recorder);
-                    Outcome::Complete(SearchResult { occurrences, stats })
-                }
-            }
-            Method::Bwt { use_phi } => {
-                let mut st = STreeSearch::new(&self.fm, self.len);
-                st.use_phi = use_phi;
-                st.search_deadline_recorded(pattern, k, token, recorder)
-                    .map(|(occurrences, stats)| SearchResult { occurrences, stats })
-            }
-            Method::AlgorithmA { reuse } => {
-                let mut alg = AlgorithmA::new(&self.fm, self.len);
-                alg.reuse = reuse;
-                alg.search_deadline_recorded(pattern, k, token, recorder)
-                    .map(|(occurrences, stats)| SearchResult { occurrences, stats })
-            }
-            Method::SeedFilter => {
-                if token.is_expired() {
-                    Outcome::Truncated(self.truncated_at_entry(recorder))
-                } else {
-                    let sf = SeedFilterSearch::new(&self.fm, self.text());
-                    let (occurrences, stats) = sf.search(pattern, k);
-                    stats.record_into(recorder);
-                    Outcome::Complete(SearchResult { occurrences, stats })
-                }
-            }
-            Method::Bidirectional => {
-                let bd = BidirSearch::new(&self.fm, self.mirror(), self.len);
-                bd.search_deadline_recorded(pattern, k, token, recorder)
-                    .map(|(occurrences, stats)| SearchResult { occurrences, stats })
-            }
-        };
-        let outcome = outcome.map(|mut sr| {
-            attribute_costs(&mut sr.stats, &cost_start, recorder);
-            sr
-        });
-        if let Some(start) = start {
-            let ns = start.elapsed().as_nanos() as u64;
-            recorder.phase_add(Phase::SearchQuery, ns);
-            recorder.observe(Hist::SearchLatencyNs, ns);
-        }
-        recorder.add(Counter::Queries, 1);
-        if tracing {
-            if outcome.is_truncated() {
-                recorder.annotate("cancelled");
-            }
-            recorder.span_end(Phase::SearchQuery);
-        }
-        outcome
-    }
-
-    /// An empty truncated result for methods that only honour the token
-    /// at entry.
-    fn truncated_at_entry<R: Recorder>(&self, recorder: &R) -> SearchResult {
-        let stats = SearchStats {
-            timeouts: 1,
-            ..Default::default()
-        };
-        recorder.add(Counter::Timeouts, 1);
-        SearchResult {
-            occurrences: Vec::new(),
-            stats,
-        }
-    }
-
     /// Positions scanned between deadline polls by the online methods.
     const SCAN_CHUNK: usize = 4096;
 
-    /// Drive an online scanner (naive/kangaroo/amir) in text chunks so
-    /// it can be truncated: each chunk covers [`Self::SCAN_CHUNK`] start
-    /// positions (plus the `m - 1` overlap its windows read), so the
-    /// concatenated hit list is bit-identical to one whole-text scan.
-    fn scan_with_deadline<R: Recorder>(
+    /// Drive an online scanner (naive/kangaroo/amir). Under a token the
+    /// scan runs in text chunks so it can be truncated: each chunk covers
+    /// [`Self::SCAN_CHUNK`] start positions (plus the `m - 1` overlap its
+    /// windows read), so the concatenated hit list is bit-identical to
+    /// one whole-text scan, which is what runs without a token.
+    fn scan<R: Recorder>(
         &self,
         pattern: &[u8],
         k: usize,
-        token: &CancelToken,
+        token: Option<&CancelToken>,
         recorder: &R,
         scan: impl Fn(&[u8], &[u8], usize) -> Vec<Occurrence>,
-    ) -> Outcome<SearchResult> {
+    ) -> Outcome<(Vec<Occurrence>, SearchStats)> {
         let text = self.text();
         let n = text.len();
         let m = pattern.len();
-        if m == 0 || m > n {
-            return Outcome::Complete(SearchResult {
-                occurrences: scan(text, pattern, k),
-                stats: SearchStats::default(),
-            });
+        if token.is_none() || m == 0 || m > n {
+            return Outcome::Complete((scan(text, pattern, k), SearchStats::default()));
         }
-        let gate = Gate::new(Some(token));
+        let gate = Gate::new(token);
         let last_start = n - m;
         let mut occurrences = Vec::new();
         let mut c = 0usize;
-        let mut truncated = false;
         while c <= last_start {
             // Chunks arrive ~µs apart, far below the gate's countdown
             // rate — force the deadline read every time.
             if gate.poll_now() {
-                truncated = true;
                 break;
             }
             let hi = (c + Self::SCAN_CHUNK - 1).min(last_start);
@@ -600,14 +512,15 @@ impl KMismatchIndex {
             }
             c = hi + 1;
         }
+        let truncated = gate.tripped();
+        if truncated {
+            recorder.add(Counter::Timeouts, 1);
+        }
         let stats = SearchStats {
             timeouts: u64::from(truncated),
             ..Default::default()
         };
-        if truncated {
-            recorder.add(Counter::Timeouts, 1);
-        }
-        Outcome::from_parts(SearchResult { occurrences, stats }, truncated)
+        Outcome::from_parts((occurrences, stats), truncated)
     }
 
     /// Number of occurrences with at most `k` mismatches, without
@@ -636,233 +549,90 @@ impl KMismatchIndex {
         (occurrences, stats)
     }
 
-    /// Run a batch of queries, accumulating statistics.
-    pub fn search_batch<'p>(
-        &self,
-        patterns: impl IntoIterator<Item = &'p [u8]>,
-        k: usize,
-        method: Method,
-    ) -> (Vec<Vec<Occurrence>>, SearchStats) {
-        self.search_batch_recorded(patterns, k, method, &NoopRecorder)
-    }
-
-    /// [`Self::search_batch`] with per-query telemetry on `recorder`.
-    pub fn search_batch_recorded<'p, R: Recorder>(
-        &self,
-        patterns: impl IntoIterator<Item = &'p [u8]>,
-        k: usize,
-        method: Method,
-        recorder: &R,
-    ) -> (Vec<Vec<Occurrence>>, SearchStats) {
-        let mut all = Vec::new();
-        let mut stats = SearchStats::default();
-        for (i, p) in patterns.into_iter().enumerate() {
-            if recorder.wants_spans() {
-                recorder.annotate(&format!("q={i}"));
-            }
-            let r = self.search_recorded(p, k, method, recorder);
-            stats.accumulate(&r.stats);
-            all.push(r.occurrences);
-        }
-        (all, stats)
-    }
-
-    /// [`Self::search_batch`] across a thread pool. Queries are
-    /// independent, so the occurrence lists are bit-identical to the
-    /// serial batch and arrive in input order at any thread count; the
-    /// accumulated [`SearchStats`] are merged commutatively and equal the
-    /// serial totals.
-    pub fn search_batch_par<P: AsRef<[u8]> + Sync>(
-        &self,
-        patterns: &[P],
-        k: usize,
-        method: Method,
-        pool: &ThreadPool,
-    ) -> (Vec<Vec<Occurrence>>, SearchStats) {
-        self.search_batch_par_recorded(patterns, k, method, pool, &NoopRecorder)
-    }
-
-    /// [`Self::search_batch_par`] with telemetry. Each participating
-    /// worker records into a private [`TraceRecorder`] shard — the query
-    /// hot path touches no shared atomics — and the shards are absorbed
-    /// into `recorder` after the join, so order-independent aggregates
-    /// (counters, histogram counts, phase entry counts) match a serial
-    /// run exactly. When `recorder` collects spans, the shards share its
-    /// trace epoch, tag spans with their 1-based worker id, and hand
-    /// their traces plus slowest-query candidates back through
-    /// [`Recorder::absorb_traces`].
-    pub fn search_batch_par_recorded<P, R>(
-        &self,
-        patterns: &[P],
-        k: usize,
-        method: Method,
-        pool: &ThreadPool,
-        recorder: &R,
-    ) -> (Vec<Vec<Occurrence>>, SearchStats)
-    where
-        P: AsRef<[u8]> + Sync,
-        R: Recorder + Sync,
-    {
-        if matches!(method, Method::Cole) {
-            // Materialise the lazy suffix tree once, up front, instead of
-            // having every worker block on the OnceLock initialiser.
-            self.suffix_tree();
-        }
-        if matches!(method, Method::Bidirectional) {
-            // Likewise for the lazily built mirror rank structure.
-            self.mirror();
-        }
-        let shard_metrics = recorder.enabled();
-        let tracing = recorder.wants_spans();
-        let epoch = recorder.trace_epoch();
-        let total = Mutex::new(SearchStats::default());
-        let results = pool.par_map_init(
-            patterns,
-            |worker| {
-                (
-                    shard_metrics.then(|| TraceRecorder::shard(epoch, worker as u32 + 1, tracing)),
-                    SearchStats::default(),
-                )
-            },
-            |(shard, stats), i, pattern| {
-                let r = match shard {
-                    Some(shard) => {
-                        if tracing {
-                            shard.annotate(&format!("q={i}"));
-                        }
-                        self.search_recorded(pattern.as_ref(), k, method, shard)
-                    }
-                    None => self.search(pattern.as_ref(), k, method),
-                };
-                stats.accumulate(&r.stats);
-                r.occurrences
-            },
-            |(shard, stats)| {
-                if let Some(shard) = shard {
-                    recorder.absorb(&shard.snapshot());
-                    if tracing {
-                        recorder.absorb_traces(shard.drain());
-                    }
-                }
-                total.lock().unwrap().accumulate(&stats);
-            },
-        );
-        (results, total.into_inner().unwrap())
-    }
-
-    /// [`Self::search_batch`] with a **per-query** time budget: each
-    /// pattern gets its own [`CancelToken`] stamped as its search
+    /// Run a batch of queries across `pool`, accumulating statistics.
+    ///
+    /// Queries are independent, so the per-query outcomes are
+    /// bit-identical to searching each pattern alone and arrive in input
+    /// order at any thread count; the accumulated [`SearchStats`] are
+    /// merged commutatively and equal the serial totals
+    /// ([`ThreadPool::serial`] runs the batch inline). With `per_query`,
+    /// each pattern gets its own [`CancelToken`] stamped as its search
     /// starts, so one pathological query is truncated without starving
-    /// the rest of the batch. Per-query outcomes keep the truncation
-    /// flag; `stats.timeouts` counts the truncated queries.
-    pub fn search_batch_with_deadline<'p>(
-        &self,
-        patterns: impl IntoIterator<Item = &'p [u8]>,
-        k: usize,
-        method: Method,
-        per_query: Duration,
-    ) -> (Vec<Outcome<Vec<Occurrence>>>, SearchStats) {
-        self.search_batch_with_deadline_recorded(patterns, k, method, per_query, &NoopRecorder)
-    }
-
-    /// [`Self::search_batch_with_deadline`] with telemetry.
-    pub fn search_batch_with_deadline_recorded<'p, R: Recorder>(
-        &self,
-        patterns: impl IntoIterator<Item = &'p [u8]>,
-        k: usize,
-        method: Method,
-        per_query: Duration,
-        recorder: &R,
-    ) -> (Vec<Outcome<Vec<Occurrence>>>, SearchStats) {
-        let mut all = Vec::new();
-        let mut stats = SearchStats::default();
-        for (i, p) in patterns.into_iter().enumerate() {
-            if recorder.wants_spans() {
-                recorder.annotate(&format!("q={i}"));
-            }
-            let token = CancelToken::with_deadline(per_query);
-            let r = self.search_with_deadline_recorded(p, k, method, &token, recorder);
-            stats.accumulate(&r.value().stats);
-            all.push(r.map(|sr| sr.occurrences));
-        }
-        (all, stats)
-    }
-
-    /// [`Self::search_batch_with_deadline`] across a thread pool:
-    /// per-query tokens bound each worker's work, results arrive in
-    /// input order, and — unlike a shared batch deadline — the outcome
-    /// set is independent of worker scheduling for queries that fit
-    /// their budget.
-    pub fn search_batch_par_with_deadline<P: AsRef<[u8]> + Sync>(
+    /// the rest; `stats.timeouts` counts the truncated queries.
+    ///
+    /// Each participating worker records into a private
+    /// [`TraceRecorder`] shard, so the hot path touches no shared
+    /// atomics, and the shards are absorbed into `recorder` after the
+    /// join: order-independent aggregates (counters, histogram counts,
+    /// phase entry counts) match a serial run exactly. When `recorder`
+    /// collects spans, each query's root is tagged `q=<input index>`, the
+    /// shards share its trace epoch and tag spans with their 1-based
+    /// worker id, and they hand their traces plus slowest-query
+    /// candidates back through [`Recorder::absorb_traces`].
+    pub fn search_batch<P, R>(
         &self,
         patterns: &[P],
         k: usize,
         method: Method,
         pool: &ThreadPool,
-        per_query: Duration,
-    ) -> (Vec<Outcome<Vec<Occurrence>>>, SearchStats) {
-        self.search_batch_par_with_deadline_recorded(
-            patterns,
-            k,
-            method,
-            pool,
-            per_query,
-            &NoopRecorder,
-        )
-    }
-
-    /// [`Self::search_batch_par_with_deadline`] with telemetry, sharded
-    /// per worker like [`Self::search_batch_par_recorded`].
-    pub fn search_batch_par_with_deadline_recorded<P, R>(
-        &self,
-        patterns: &[P],
-        k: usize,
-        method: Method,
-        pool: &ThreadPool,
-        per_query: Duration,
+        per_query: Option<Duration>,
         recorder: &R,
     ) -> (Vec<Outcome<Vec<Occurrence>>>, SearchStats)
     where
         P: AsRef<[u8]> + Sync,
         R: Recorder + Sync,
     {
-        if matches!(method, Method::Cole) {
-            self.suffix_tree();
-        }
-        if matches!(method, Method::Bidirectional) {
-            self.mirror();
-        }
+        let job = BatchQuery {
+            index: self,
+            k,
+            method,
+        };
+        self.run_batch(method, patterns, pool, per_query, recorder, &job)
+    }
+
+    /// The batch driver behind [`Self::search_batch`] and
+    /// [`crate::ReadMapper::map_batch_with`]: prepares `method`, then maps
+    /// `items` through `job` on `pool`, with telemetry sharded per worker
+    /// as [`Self::search_batch`] describes. A token is made per item only
+    /// when `per_item` is given, so an unbudgeted batch allocates none.
+    pub(crate) fn run_batch<P, R, J>(
+        &self,
+        method: Method,
+        items: &[P],
+        pool: &ThreadPool,
+        per_item: Option<Duration>,
+        recorder: &R,
+        job: &J,
+    ) -> (Vec<Outcome<J::Output>>, SearchStats)
+    where
+        P: AsRef<[u8]> + Sync,
+        R: Recorder + Sync,
+        J: BatchJob,
+    {
+        self.prepare(method);
         let shard_metrics = recorder.enabled();
         let tracing = recorder.wants_spans();
         let epoch = recorder.trace_epoch();
         let total = Mutex::new(SearchStats::default());
         let results = pool.par_map_init(
-            patterns,
+            items,
             |worker| {
                 (
                     shard_metrics.then(|| TraceRecorder::shard(epoch, worker as u32 + 1, tracing)),
                     SearchStats::default(),
                 )
             },
-            |(shard, stats), i, pattern| {
-                let token = CancelToken::with_deadline(per_query);
-                let r = match shard {
+            |(shard, stats), i, item| {
+                let token = per_item.map(CancelToken::with_deadline);
+                match shard {
                     Some(shard) => {
                         if tracing {
                             shard.annotate(&format!("q={i}"));
                         }
-                        self.search_with_deadline_recorded(
-                            pattern.as_ref(),
-                            k,
-                            method,
-                            &token,
-                            shard,
-                        )
+                        job.run(item.as_ref(), token.as_ref(), stats, shard)
                     }
-                    None => self.search_with_deadline(pattern.as_ref(), k, method, &token),
-                };
-                stats.accumulate(&r.value().stats);
-                r.map(|sr| sr.occurrences)
+                    None => job.run(item.as_ref(), token.as_ref(), stats, &NoopRecorder),
+                }
             },
             |(shard, stats)| {
                 if let Some(shard) = shard {
@@ -875,6 +645,68 @@ impl KMismatchIndex {
             },
         );
         (results, total.into_inner().unwrap())
+    }
+}
+
+/// Run a baseline that only honours a token already expired at entry
+/// (Cole, SeedFilter): an expired token yields an empty truncated result.
+fn unless_expired<R: Recorder>(
+    token: Option<&CancelToken>,
+    recorder: &R,
+    search: impl FnOnce() -> (Vec<Occurrence>, SearchStats),
+) -> Outcome<(Vec<Occurrence>, SearchStats)> {
+    if token.is_some_and(CancelToken::is_expired) {
+        recorder.add(Counter::Timeouts, 1);
+        let stats = SearchStats {
+            timeouts: 1,
+            ..Default::default()
+        };
+        return Outcome::Truncated((Vec::new(), stats));
+    }
+    let (occurrences, stats) = search();
+    stats.record_into(recorder);
+    Outcome::Complete((occurrences, stats))
+}
+
+/// One item of a [`KMismatchIndex::run_batch`], generic over the
+/// worker's recorder (a private shard, or a no-op). The job adds its
+/// item's [`SearchStats`], if it has any, to the worker's `stats`.
+pub(crate) trait BatchJob: Sync {
+    /// What one item produces.
+    type Output: Send;
+
+    /// Process one item under an optional token.
+    fn run<R: Recorder>(
+        &self,
+        item: &[u8],
+        token: Option<&CancelToken>,
+        stats: &mut SearchStats,
+        recorder: &R,
+    ) -> Outcome<Self::Output>;
+}
+
+/// [`KMismatchIndex::search_batch`]'s job: one query per pattern.
+struct BatchQuery<'a> {
+    index: &'a KMismatchIndex,
+    k: usize,
+    method: Method,
+}
+
+impl BatchJob for BatchQuery<'_> {
+    type Output = Vec<Occurrence>;
+
+    fn run<R: Recorder>(
+        &self,
+        pattern: &[u8],
+        token: Option<&CancelToken>,
+        stats: &mut SearchStats,
+        recorder: &R,
+    ) -> Outcome<Vec<Occurrence>> {
+        let r = self
+            .index
+            .search_with(pattern, self.k, self.method, token, recorder);
+        stats.accumulate(&r.value().stats);
+        r.map(|sr| sr.occurrences)
     }
 }
 
@@ -936,12 +768,19 @@ mod tests {
         let idx = KMismatchIndex::from_ascii(b"acagacagattacaacagtt").unwrap();
         let p1 = kmm_dna::encode(b"acag").unwrap();
         let p2 = kmm_dna::encode(b"ttac").unwrap();
-        let (results, stats) = idx.search_batch([&p1[..], &p2[..]], 1, Method::ALGORITHM_A);
+        let (results, stats) = idx.search_batch(
+            &[p1, p2],
+            1,
+            Method::ALGORITHM_A,
+            &ThreadPool::serial(),
+            None,
+            &NoopRecorder,
+        );
         assert_eq!(results.len(), 2);
         assert!(stats.leaves > 0);
         assert_eq!(
             stats.occurrences,
-            (results[0].len() + results[1].len()) as u64
+            (results[0].value().len() + results[1].value().len()) as u64
         );
     }
 
@@ -1054,6 +893,28 @@ mod tests {
         );
         // Bidirectional search through a loaded mirror needs no text.
         assert!(!idx.text_is_materialized());
+    }
+
+    #[test]
+    fn prepare_builds_what_each_method_needs() {
+        let built = KMismatchIndex::from_ascii(b"acagacagattacaacagtt").unwrap();
+        let mut bytes = Vec::new();
+        built.fm().save(&mut bytes).unwrap();
+        let load = || KMismatchIndex::from_fm(kmm_bwt::FmIndex::load(&bytes[..]).unwrap());
+        for method in METHODS {
+            let idx = load();
+            idx.prepare(method);
+            // Only the FM-backed unidirectional methods run without the
+            // text; the suffix tree and the mirror are built from it.
+            let needs_text = !matches!(method, Method::Bwt { .. } | Method::AlgorithmA { .. });
+            assert_eq!(idx.text_is_materialized(), needs_text, "{}", method.label());
+            assert_eq!(
+                idx.has_mirror(),
+                method == Method::Bidirectional,
+                "{}",
+                method.label()
+            );
+        }
     }
 
     #[test]

@@ -428,7 +428,9 @@ mod tests {
                 spec_count += st.nodes[leaf as usize].interval.len();
             }
             let alg = crate::AlgorithmA::new(&fm, s.len());
-            let (occ, _) = alg.search(&r, k);
+            let (occ, _) = alg
+                .search(&r, k, None, &kmm_telemetry::NoopRecorder)
+                .into_inner();
             assert_eq!(spec_count as usize, occ.len(), "s={s:?} r={r:?} k={k}");
         }
     }

@@ -14,7 +14,7 @@
 use kmm_bwt::{FmIndex, Interval};
 use kmm_classic::Occurrence;
 use kmm_dna::BASES;
-use kmm_telemetry::{Hist, NoopRecorder, Phase, PruneCause, Recorder};
+use kmm_telemetry::{Hist, Phase, PruneCause, Recorder};
 
 use crate::cancel::{CancelToken, Gate, Outcome};
 use crate::phi::phi_table;
@@ -68,48 +68,21 @@ impl<'a> STreeSearch<'a> {
 
     /// All occurrences of `pattern` in the forward text with at most `k`
     /// mismatches, sorted by position, plus search statistics.
-    pub fn search(&self, pattern: &[u8], k: usize) -> (Vec<Occurrence>, SearchStats) {
-        self.search_recorded(pattern, k, &NoopRecorder)
-    }
-
-    /// [`Self::search`] with telemetry: φ-table construction is timed as
-    /// `preprocess.phi`, leaf widths/depths go to histograms, and the
-    /// final [`SearchStats`] are added to the `search.*` counters.
-    pub fn search_recorded<R: Recorder>(
-        &self,
-        pattern: &[u8],
-        k: usize,
-        recorder: &R,
-    ) -> (Vec<Occurrence>, SearchStats) {
-        let gate = Gate::open();
-        match self.search_gated(pattern, k, &gate, recorder) {
-            Outcome::Complete(r) => r,
-            Outcome::Truncated(_) => unreachable!("open gate cannot trip"),
-        }
-    }
-
-    /// [`Self::search_recorded`] under a cancellation token: the DFS
-    /// polls `token` at node-expansion granularity and unwinds once it
+    ///
+    /// φ-table construction is timed as `preprocess.phi`, leaf
+    /// widths/depths go to histograms, and the final [`SearchStats`] are
+    /// added to the `search.*` counters on `recorder`. With a `token`,
+    /// the DFS polls it at node-expansion granularity and unwinds once it
     /// expires, returning [`Outcome::Truncated`] with every occurrence
     /// verified so far.
-    pub fn search_deadline_recorded<R: Recorder>(
+    pub fn search<R: Recorder>(
         &self,
         pattern: &[u8],
         k: usize,
-        token: &CancelToken,
+        token: Option<&CancelToken>,
         recorder: &R,
     ) -> Outcome<(Vec<Occurrence>, SearchStats)> {
-        let gate = Gate::new(Some(token));
-        self.search_gated(pattern, k, &gate, recorder)
-    }
-
-    fn search_gated<R: Recorder>(
-        &self,
-        pattern: &[u8],
-        k: usize,
-        gate: &Gate<'_>,
-        recorder: &R,
-    ) -> Outcome<(Vec<Occurrence>, SearchStats)> {
+        let gate = Gate::new(token);
         let mut stats = SearchStats::default();
         let m = pattern.len();
         if m == 0 || m > self.text_len {
@@ -131,7 +104,7 @@ impl<'a> STreeSearch<'a> {
                 pattern,
                 k,
                 phi.as_deref(),
-                gate,
+                &gate,
                 &mut out,
                 &mut stats,
                 recorder,
@@ -314,6 +287,7 @@ mod tests {
     use super::*;
     use kmm_bwt::FmBuildConfig;
     use kmm_classic::naive;
+    use kmm_telemetry::NoopRecorder;
 
     /// Build the reverse-text index for a forward ASCII target.
     pub(crate) fn rev_fm(ascii: &[u8]) -> (FmIndex, usize) {
@@ -330,7 +304,7 @@ mod tests {
         let (fm, n) = rev_fm(b"acagaca");
         let st = STreeSearch::new(&fm, n);
         let r = kmm_dna::encode(b"tcaca").unwrap();
-        let (occ, stats) = st.search(&r, 2);
+        let (occ, stats) = st.search(&r, 2, None, &NoopRecorder).into_inner();
         let positions: Vec<usize> = occ.iter().map(|o| o.position).collect();
         assert_eq!(positions, vec![0, 2]); // 0-based starts of the two hits
         assert_eq!(occ[0].mismatches, 2);
@@ -354,11 +328,11 @@ mod tests {
                 let want = naive::find_k_mismatch(&s, &r, k);
                 let mut with_phi = STreeSearch::new(&fm, len);
                 with_phi.use_phi = true;
-                let (got, _) = with_phi.search(&r, k);
+                let (got, _) = with_phi.search(&r, k, None, &NoopRecorder).into_inner();
                 assert_eq!(got, want, "phi=on s={s:?} r={r:?} k={k}");
                 let mut without = STreeSearch::new(&fm, len);
                 without.use_phi = false;
-                let (got, _) = without.search(&r, k);
+                let (got, _) = without.search(&r, k, None, &NoopRecorder).into_inner();
                 assert_eq!(got, want, "phi=off s={s:?} r={r:?} k={k}");
             }
         }
@@ -369,7 +343,7 @@ mod tests {
         let (fm, n) = rev_fm(b"acagaca");
         let st = STreeSearch::new(&fm, n);
         let r = kmm_dna::encode(b"aca").unwrap();
-        let (occ, _) = st.search(&r, 0);
+        let (occ, _) = st.search(&r, 0, None, &NoopRecorder).into_inner();
         assert_eq!(
             occ.iter().map(|o| o.position).collect::<Vec<_>>(),
             vec![0, 4]
@@ -389,8 +363,8 @@ mod tests {
         with_phi.use_phi = true;
         let mut without = STreeSearch::new(&fm, n);
         without.use_phi = false;
-        let (a, sa) = with_phi.search(&r, 3);
-        let (b, sb) = without.search(&r, 3);
+        let (a, sa) = with_phi.search(&r, 3, None, &NoopRecorder).into_inner();
+        let (b, sb) = without.search(&r, 3, None, &NoopRecorder).into_inner();
         assert_eq!(a, b);
         assert!(sa.nodes_visited <= sb.nodes_visited);
         assert!(sa.phi_prunes > 0 || sa.nodes_visited == sb.nodes_visited);
@@ -400,9 +374,17 @@ mod tests {
     fn oversized_and_empty_patterns() {
         let (fm, n) = rev_fm(b"acg");
         let st = STreeSearch::new(&fm, n);
-        assert!(st.search(&[], 1).0.is_empty());
+        assert!(st
+            .search(&[], 1, None, &NoopRecorder)
+            .into_inner()
+            .0
+            .is_empty());
         let long = kmm_dna::encode(b"acgta").unwrap();
-        assert!(st.search(&long, 1).0.is_empty());
+        assert!(st
+            .search(&long, 1, None, &NoopRecorder)
+            .into_inner()
+            .0
+            .is_empty());
     }
 
     #[test]
@@ -410,7 +392,7 @@ mod tests {
         let (fm, n) = rev_fm(b"acgtacg");
         let st = STreeSearch::new(&fm, n);
         let r = kmm_dna::encode(b"tt").unwrap();
-        let (occ, _) = st.search(&r, 2);
+        let (occ, _) = st.search(&r, 2, None, &NoopRecorder).into_inner();
         assert_eq!(occ.len(), n - 2 + 1);
     }
 }

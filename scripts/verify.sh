@@ -15,6 +15,12 @@ cargo fmt --check
 echo "== workspace tests =="
 cargo test --workspace -q
 
+echo "== benchmark harness builds against this tree =="
+# perfbench is a package of its own that calls kmm-core's public API, so
+# an API change that breaks it must fail here; its own target dir keeps
+# the build apart from the workspace's.
+cargo build --release -q --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
+
 echo "== kmm search --stats smoke test =="
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT

@@ -548,26 +548,15 @@ fn map_reads_with<R: Recorder + Sync>(
     let pool = ThreadPool::new(threads.max(1));
     let seqs: Vec<&[u8]> = reads.iter().map(|r| r.seq.as_slice()).collect();
     let _search = phase_scope(MemPhase::Search);
-    let (reports, truncated) = match timeout {
-        Some(per_read) => {
-            let outcomes =
-                mapper.map_batch_with_deadline_recorded(&seqs, &pool, per_read, recorder);
-            let truncated = outcomes.iter().filter(|o| o.is_truncated()).count();
-            (
-                outcomes
-                    .into_iter()
-                    .map(kmm_core::Outcome::into_inner)
-                    .collect::<Vec<_>>(),
-                truncated,
-            )
-        }
-        None => (mapper.map_batch_recorded(&seqs, &pool, recorder), 0),
-    };
+    let outcomes = mapper.map_batch_with(&seqs, &pool, timeout, recorder);
     writeln!(out, "#read\tposition\tstrand\tmismatches\tmapq")?;
     let mut mapped = 0usize;
     let mut unique = 0usize;
     let mut hits = 0usize;
-    for (rec, report) in reads.iter().zip(&reports) {
+    let mut truncated = 0usize;
+    for (rec, outcome) in reads.iter().zip(&outcomes) {
+        truncated += usize::from(outcome.is_truncated());
+        let report = outcome.value();
         match &report.outcome {
             MapOutcome::Unmapped => continue,
             MapOutcome::Unique(_) => {
@@ -707,30 +696,13 @@ fn search_patterns_with<R: Recorder + Sync>(
         .collect::<CliResult<_>>()?;
     let pool = ThreadPool::new(threads.max(1));
     let _search = phase_scope(MemPhase::Search);
-    let (per_pattern, stats, truncated) = match timeout {
-        Some(per_query) => {
-            let (outcomes, stats) = idx.search_batch_par_with_deadline_recorded(
-                &patterns, k, method, &pool, per_query, recorder,
-            );
-            let truncated = outcomes.iter().filter(|o| o.is_truncated()).count();
-            (
-                outcomes
-                    .into_iter()
-                    .map(kmm_core::Outcome::into_inner)
-                    .collect::<Vec<_>>(),
-                stats,
-                truncated,
-            )
-        }
-        None => {
-            let (per_pattern, stats) =
-                idx.search_batch_par_recorded(&patterns, k, method, &pool, recorder);
-            (per_pattern, stats, 0)
-        }
-    };
+    let (per_pattern, stats) = idx.search_batch(&patterns, k, method, &pool, timeout, recorder);
     let single = patterns.len() == 1;
     let mut total = 0usize;
-    for (pi, occs) in per_pattern.iter().enumerate() {
+    let mut truncated = 0usize;
+    for (pi, outcome) in per_pattern.iter().enumerate() {
+        truncated += usize::from(outcome.is_truncated());
+        let occs = outcome.value();
         total += occs.len();
         for occ in occs {
             if single {

@@ -59,7 +59,7 @@
 //! | `/dashboard` | GET | self-contained HTML dashboard polling `/stats.json`, `/slow.json`, `/explain` |
 //! | `/shutdown` | POST | stop accepting, drain, exit |
 //!
-//! `POST /search` runs the exact [`KMismatchIndex::search_recorded`]
+//! `POST /search` runs the exact [`KMismatchIndex::search_with`]
 //! path the CLI uses, so its results are identical to `kmm search`.
 //! Each request records into a private [`TraceRecorder`] shard (sharing
 //! the server's trace epoch) absorbed after the response, so the flight
@@ -86,9 +86,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use kmm_core::{
-    CancelToken, KMismatchIndex, MapOutcome, MapperConfig, Method, Outcome, ReadMapper, Strand,
-};
+use kmm_core::{CancelToken, KMismatchIndex, MapOutcome, MapperConfig, Method, ReadMapper, Strand};
 use kmm_par::ThreadPool;
 use kmm_telemetry::alloc::{fmt_bytes, mem_stats, phase_scope, MemPhase};
 use kmm_telemetry::{
@@ -1856,22 +1854,12 @@ fn handle_search(
     };
     let shard = request_shard(state, worker);
     shard.annotate(&format!("http=/search id={req_id}"));
-    let (result, truncated) = match request_timeout(state, &doc, degraded) {
-        Some(budget) => {
-            let token = CancelToken::with_deadline(budget);
-            match state
-                .index
-                .search_with_deadline_recorded(&encoded, k, method, &token, &shard)
-            {
-                Outcome::Complete(r) => (r, false),
-                Outcome::Truncated(r) => (r, true),
-            }
-        }
-        None => (
-            state.index.search_recorded(&encoded, k, method, &shard),
-            false,
-        ),
-    };
+    let token = request_timeout(state, &doc, degraded).map(CancelToken::with_deadline);
+    let outcome = state
+        .index
+        .search_with(&encoded, k, method, token.as_ref(), &shard);
+    let truncated = outcome.is_truncated();
+    let result = outcome.into_inner();
     absorb_shard(state, &shard);
     let occurrences: Vec<Json> = result
         .occurrences
@@ -1997,16 +1985,10 @@ fn handle_map(
     );
     let shard = request_shard(state, worker);
     shard.annotate(&format!("http=/map id={req_id}"));
-    let (report, truncated) = match request_timeout(state, &doc, degraded) {
-        Some(budget) => {
-            let token = CancelToken::with_deadline(budget);
-            match mapper.map_with_deadline_recorded(&encoded, &token, &shard) {
-                Outcome::Complete(r) => (r, false),
-                Outcome::Truncated(r) => (r, true),
-            }
-        }
-        None => (mapper.map_recorded(&encoded, &shard), false),
-    };
+    let token = request_timeout(state, &doc, degraded).map(CancelToken::with_deadline);
+    let outcome = mapper.map_with(&encoded, token.as_ref(), &shard);
+    let truncated = outcome.is_truncated();
+    let report = outcome.into_inner();
     absorb_shard(state, &shard);
     let alignments: Vec<Json> = report
         .all

@@ -3,6 +3,7 @@
 //! integration invariant, exercised over targeted regimes (repetitive,
 //! periodic, biased, realistic) that stress different code paths.
 
+use bwt_kmismatch::telemetry::NoopRecorder;
 use bwt_kmismatch::{KMismatchIndex, Method, Occurrence};
 use rand::{Rng, SeedableRng};
 
@@ -144,11 +145,10 @@ fn bidirectional_is_bit_identical_across_methods_and_thread_widths() {
     let reads = kmm_dna::paper_reads(&genome, 12, 30, 2);
     let patterns: Vec<Vec<u8>> = reads.into_iter().map(|r| r.seq).collect();
     for k in 0..=3usize {
-        let (serial, _) = index.search_batch(
-            patterns.iter().map(|p| p.as_slice()),
-            k,
-            Method::Bidirectional,
-        );
+        let serial: Vec<_> = patterns
+            .iter()
+            .map(|p| index.search(p, k, Method::Bidirectional).occurrences)
+            .collect();
         for (p, hits) in patterns.iter().zip(&serial) {
             assert_eq!(
                 &index
@@ -167,7 +167,15 @@ fn bidirectional_is_bit_identical_across_methods_and_thread_widths() {
         }
         for threads in [1usize, 8] {
             let pool = kmm_par::ThreadPool::new(threads);
-            let (par, _) = index.search_batch_par(&patterns, k, Method::Bidirectional, &pool);
+            let (par, _) = index.search_batch(
+                &patterns,
+                k,
+                Method::Bidirectional,
+                &pool,
+                None,
+                &NoopRecorder,
+            );
+            let par: Vec<_> = par.into_iter().map(|o| o.into_inner()).collect();
             assert_eq!(par, serial, "threads={threads} k={k}");
         }
     }

@@ -7,16 +7,21 @@ use std::time::{Duration, Instant};
 
 use bwt_kmismatch::core::{CancelToken, Outcome};
 use bwt_kmismatch::dna::genome::{markov, MarkovConfig};
+use bwt_kmismatch::par::ThreadPool;
+use bwt_kmismatch::telemetry::NoopRecorder;
 use bwt_kmismatch::{KMismatchIndex, Method};
 
-const METHODS: [Method; 7] = [
+const METHODS: [Method; 10] = [
     Method::ALGORITHM_A,
+    Method::AlgorithmA { reuse: false },
     Method::Bwt { use_phi: true },
+    Method::Bwt { use_phi: false },
     Method::Naive,
     Method::Kangaroo,
     Method::Amir,
     Method::Cole,
     Method::SeedFilter,
+    Method::Bidirectional,
 ];
 
 fn plain_index() -> KMismatchIndex {
@@ -39,21 +44,26 @@ fn generous_deadline_is_bit_identical_to_no_deadline() {
     let idx = plain_index();
     let pattern = idx.text()[700..760].to_vec();
     for method in METHODS {
-        let plain = idx.search(&pattern, 3, method);
-        let token = CancelToken::with_deadline(Duration::from_secs(600));
-        match idx.search_with_deadline(&pattern, 3, method, &token) {
-            Outcome::Complete(got) => {
-                assert_eq!(
-                    got.occurrences,
-                    plain.occurrences,
-                    "{} diverged under a generous deadline",
-                    method.label()
-                );
-                assert_eq!(got.stats.timeouts, 0);
-            }
-            Outcome::Truncated(_) => {
-                panic!("{} truncated under a 600 s budget", method.label())
-            }
+        // Lazy structures are built first, so neither run is billed for
+        // them and the work counters compare exactly.
+        idx.prepare(method);
+        for k in [0usize, 1, 3] {
+            let plain = idx.search_with(&pattern, k, method, None, &NoopRecorder);
+            let token = CancelToken::with_deadline(Duration::from_secs(3600));
+            let timed = idx.search_with(&pattern, k, method, Some(&token), &NoopRecorder);
+            let ctx = format!("{} k={k}", method.label());
+            let Outcome::Complete(plain) = plain else {
+                panic!("{ctx}: truncated without a token");
+            };
+            let Outcome::Complete(got) = timed else {
+                panic!("{ctx}: truncated under a one-hour budget");
+            };
+            assert_eq!(
+                got.occurrences, plain.occurrences,
+                "{ctx}: occurrences diverged"
+            );
+            assert_eq!(got.stats, plain.stats, "{ctx}: stats diverged");
+            assert_eq!(got.stats.timeouts, 0, "{ctx}");
         }
     }
 }
@@ -64,7 +74,7 @@ fn zero_budget_truncates_every_method() {
     let pattern = idx.text()[700..760].to_vec();
     for method in METHODS {
         let token = CancelToken::with_deadline(Duration::ZERO);
-        let outcome = idx.search_with_deadline(&pattern, 3, method, &token);
+        let outcome = idx.search_with(&pattern, 3, method, Some(&token), &NoopRecorder);
         assert!(
             outcome.is_truncated(),
             "{} ignored an already-expired deadline",
@@ -80,7 +90,13 @@ fn cancelled_token_truncates_without_a_deadline() {
     let pattern = idx.text()[700..760].to_vec();
     let token = CancelToken::new();
     token.cancel();
-    let outcome = idx.search_with_deadline(&pattern, 3, Method::ALGORITHM_A, &token);
+    let outcome = idx.search_with(
+        &pattern,
+        3,
+        Method::ALGORITHM_A,
+        Some(&token),
+        &NoopRecorder,
+    );
     assert!(outcome.is_truncated());
 }
 
@@ -94,7 +110,13 @@ fn adversarial_query_stops_quickly_under_tiny_budget() {
 
     let token = CancelToken::with_deadline(Duration::from_millis(1));
     let start = Instant::now();
-    let outcome = idx.search_with_deadline(&pattern, k, Method::ALGORITHM_A, &token);
+    let outcome = idx.search_with(
+        &pattern,
+        k,
+        Method::ALGORITHM_A,
+        Some(&token),
+        &NoopRecorder,
+    );
     let elapsed = start.elapsed();
     assert!(
         outcome.is_truncated(),
@@ -124,11 +146,14 @@ fn batch_deadline_is_per_query_and_flags_each_outcome() {
     let patterns = vec![easy.clone(), easy];
     // A generous per-query budget completes both queries with results
     // identical to the no-deadline batch.
-    let (outcomes, stats) = idx.search_batch_with_deadline(
-        patterns.iter().map(Vec::as_slice),
+    let pool = ThreadPool::new(2);
+    let (outcomes, stats) = idx.search_batch(
+        &patterns,
         1,
         Method::ALGORITHM_A,
-        Duration::from_secs(600),
+        &pool,
+        Some(Duration::from_secs(600)),
+        &NoopRecorder,
     );
     assert_eq!(outcomes.len(), 2);
     assert_eq!(stats.timeouts, 0);
@@ -141,11 +166,13 @@ fn batch_deadline_is_per_query_and_flags_each_outcome() {
     }
 
     // A zero budget truncates every query and counts each timeout.
-    let (outcomes, stats) = idx.search_batch_with_deadline(
-        patterns.iter().map(Vec::as_slice),
+    let (outcomes, stats) = idx.search_batch(
+        &patterns,
         8,
         Method::ALGORITHM_A,
-        Duration::ZERO,
+        &pool,
+        Some(Duration::ZERO),
+        &NoopRecorder,
     );
     assert!(outcomes.iter().all(Outcome::is_truncated));
     assert_eq!(stats.timeouts, 2);
@@ -166,7 +193,7 @@ fn mapper_deadline_flags_truncated_reads() {
     let read = idx.text()[300..400].to_vec();
 
     let generous = CancelToken::with_deadline(Duration::from_secs(600));
-    let complete = mapper.map_with_deadline(&read, &generous);
+    let complete = mapper.map_with(&read, Some(&generous), &NoopRecorder);
     assert!(!complete.is_truncated());
     assert_eq!(
         complete.value().all,
@@ -175,5 +202,17 @@ fn mapper_deadline_flags_truncated_reads() {
     );
 
     let expired = CancelToken::with_deadline(Duration::ZERO);
-    assert!(mapper.map_with_deadline(&read, &expired).is_truncated());
+    assert!(mapper
+        .map_with(&read, Some(&expired), &NoopRecorder)
+        .is_truncated());
+
+    // Per-read budgets in a batch: zero truncates every read.
+    let reads = vec![read.clone(), read];
+    let outcomes = mapper.map_batch_with(
+        &reads,
+        &ThreadPool::new(2),
+        Some(Duration::ZERO),
+        &NoopRecorder,
+    );
+    assert!(outcomes.iter().all(Outcome::is_truncated));
 }

@@ -1,6 +1,8 @@
 //! End-to-end pipeline tests: FASTA in, index, batch search, stats out —
 //! the full workflow a downstream user would run.
 
+use bwt_kmismatch::par::ThreadPool;
+use bwt_kmismatch::telemetry::NoopRecorder;
 use bwt_kmismatch::{KMismatchIndex, Method};
 use kmm_dna::fasta;
 
@@ -31,7 +33,15 @@ fn batch_search_over_simulated_reads() {
     let index = KMismatchIndex::new(genome.clone());
     let reads = kmm_dna::paper_reads(&genome, 20, 80, 17);
     let seqs: Vec<&[u8]> = reads.iter().map(|r| r.seq.as_slice()).collect();
-    let (results, stats) = index.search_batch(seqs.iter().copied(), 4, Method::ALGORITHM_A);
+    let (results, stats) = index.search_batch(
+        &seqs,
+        4,
+        Method::ALGORITHM_A,
+        &ThreadPool::serial(),
+        None,
+        &NoopRecorder,
+    );
+    let results: Vec<_> = results.into_iter().map(|o| o.into_inner()).collect();
     assert_eq!(results.len(), 20);
     let total: usize = results.iter().map(|r| r.len()).sum();
     assert_eq!(stats.occurrences as usize, total);

@@ -127,7 +127,9 @@ fn arming_explain_does_not_perturb_search_results() {
             Method::Kangaroo,
         ] {
             let plain = index.search(&pattern, k, method);
-            let armed = index.search_recorded(&pattern, k, method, &ExplainRecorder::new());
+            let armed = index
+                .search_with(&pattern, k, method, None, &ExplainRecorder::new())
+                .into_inner();
             assert_eq!(
                 armed.occurrences,
                 plain.occurrences,

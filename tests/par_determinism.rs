@@ -1,21 +1,57 @@
 //! Determinism guarantees of the parallel batch paths.
 //!
-//! Every `*_par` entry point must return results bit-identical to the
+//! Every batch entry point must return results bit-identical to the
 //! serial path, in input order, at any thread count — with or without a
-//! `MetricsRecorder` attached — and the merged telemetry must equal a
-//! serial run for every order-independent aggregate. These tests pin
+//! `MetricsRecorder` attached, and with or without a per-item budget —
+//! and the merged telemetry must equal a serial run for every
+//! order-independent aggregate. These tests pin
 //! that contract at thread widths {1, 2, 8} on a single machine; the
 //! scheduler's chunk claiming is the only nondeterministic ingredient,
 //! and it only affects which worker computes a result, never the result.
 
-use bwt_kmismatch::core::{MapperConfig, MultiIndex, ReadMapper};
+use std::time::Duration;
+
+use bwt_kmismatch::core::{MapperConfig, Outcome, ReadMapper, SearchStats};
 use bwt_kmismatch::dna::genome::{markov, MarkovConfig};
 use bwt_kmismatch::dna::paper_reads;
 use bwt_kmismatch::par::ThreadPool;
-use bwt_kmismatch::telemetry::{Counter, Hist, MetricsRecorder, Phase};
-use bwt_kmismatch::{KMismatchIndex, Method};
+use bwt_kmismatch::telemetry::{Counter, Hist, MetricsRecorder, NoopRecorder, Phase, Recorder};
+use bwt_kmismatch::{KMismatchIndex, Method, Occurrence};
 
 const THREAD_WIDTHS: [usize; 3] = [1, 2, 8];
+
+/// A budget no test query comes near.
+const ONE_HOUR: Duration = Duration::from_secs(3600);
+
+/// Each pattern searched on its own, with the batch's stats summed.
+fn serial_batch<R: Recorder>(
+    idx: &KMismatchIndex,
+    reads: &[Vec<u8>],
+    method: Method,
+    recorder: &R,
+) -> (Vec<Vec<Occurrence>>, SearchStats) {
+    let mut stats = SearchStats::default();
+    let occ = reads
+        .iter()
+        .map(|r| {
+            let res = idx.search_with(r, 2, method, None, recorder).into_inner();
+            stats.accumulate(&res.stats);
+            res.occurrences
+        })
+        .collect();
+    (occ, stats)
+}
+
+/// Unwrap a batch whose every item must have completed.
+fn complete<T>(outcomes: Vec<Outcome<T>>) -> Vec<T> {
+    outcomes
+        .into_iter()
+        .map(|o| match o {
+            Outcome::Complete(v) => v,
+            Outcome::Truncated(_) => panic!("a batch item was truncated"),
+        })
+        .collect()
+}
 
 fn test_corpus() -> (KMismatchIndex, Vec<Vec<u8>>) {
     let genome = markov(30_000, &MarkovConfig::default(), 4242);
@@ -30,13 +66,16 @@ fn test_corpus() -> (KMismatchIndex, Vec<Vec<u8>>) {
 fn search_batch_par_is_bit_identical_across_widths() {
     let (idx, reads) = test_corpus();
     for method in [Method::ALGORITHM_A, Method::Bwt { use_phi: true }] {
-        let refs: Vec<&[u8]> = reads.iter().map(|r| r.as_slice()).collect();
-        let (serial_occ, serial_stats) = idx.search_batch(refs, 2, method);
+        let (serial_occ, serial_stats) = serial_batch(&idx, &reads, method, &NoopRecorder);
         for threads in THREAD_WIDTHS {
             let pool = ThreadPool::new(threads);
-            let (occ, stats) = idx.search_batch_par(&reads, 2, method, &pool);
-            assert_eq!(occ, serial_occ, "occurrences diverged at threads={threads}");
-            assert_eq!(stats, serial_stats, "stats diverged at threads={threads}");
+            for budget in [None, Some(ONE_HOUR)] {
+                let (occ, stats) =
+                    idx.search_batch(&reads, 2, method, &pool, budget, &NoopRecorder);
+                let ctx = format!("threads={threads} budget={budget:?}");
+                assert_eq!(complete(occ), serial_occ, "occurrences diverged at {ctx}");
+                assert_eq!(stats, serial_stats, "stats diverged at {ctx}");
+            }
         }
     }
 }
@@ -45,15 +84,12 @@ fn search_batch_par_is_bit_identical_across_widths() {
 fn search_batch_par_matches_serial_with_recorder_attached() {
     let (idx, reads) = test_corpus();
     let serial_rec = MetricsRecorder::new();
-    let refs: Vec<&[u8]> = reads.iter().map(|r| r.as_slice()).collect();
-    let (serial_occ, serial_stats) =
-        idx.search_batch_recorded(refs, 2, Method::ALGORITHM_A, &serial_rec);
+    let (serial_occ, serial_stats) = serial_batch(&idx, &reads, Method::ALGORITHM_A, &serial_rec);
     for threads in THREAD_WIDTHS {
         let pool = ThreadPool::new(threads);
         let rec = MetricsRecorder::new();
-        let (occ, stats) =
-            idx.search_batch_par_recorded(&reads, 2, Method::ALGORITHM_A, &pool, &rec);
-        assert_eq!(occ, serial_occ, "threads={threads}");
+        let (occ, stats) = idx.search_batch(&reads, 2, Method::ALGORITHM_A, &pool, None, &rec);
+        assert_eq!(complete(occ), serial_occ, "threads={threads}");
         assert_eq!(stats, serial_stats, "threads={threads}");
         // Order-independent aggregates merged from worker shards must
         // equal the serial recorder exactly. (Latency *values* differ
@@ -99,6 +135,14 @@ fn map_batch_is_bit_identical_across_widths() {
         let rec = MetricsRecorder::new();
         let recorded = mapper.map_batch_recorded(&reads, &pool, &rec);
         assert_eq!(recorded, serial, "recorded, threads={threads}");
+        for budget in [None, Some(ONE_HOUR)] {
+            let outcomes = mapper.map_batch_with(&reads, &pool, budget, &NoopRecorder);
+            assert_eq!(
+                complete(outcomes),
+                serial,
+                "threads={threads} budget={budget:?}"
+            );
+        }
         assert_eq!(rec.counter(Counter::ReadsTotal), reads.len() as u64);
         assert_eq!(
             rec.counter(Counter::ReadsMapped),
@@ -107,26 +151,6 @@ fn map_batch_is_bit_identical_across_widths() {
                 .filter(|report| !report.all.is_empty())
                 .count() as u64
         );
-    }
-}
-
-#[test]
-fn multi_index_batch_is_bit_identical_across_widths() {
-    let chr1 = markov(8_000, &MarkovConfig::default(), 7);
-    let chr2 = markov(5_000, &MarkovConfig::default(), 8);
-    let reads: Vec<Vec<u8>> = paper_reads(&chr1, 60, 40, 17)
-        .into_iter()
-        .map(|r| r.seq)
-        .collect();
-    let idx = MultiIndex::new(vec![("chr1".into(), chr1), ("chr2".into(), chr2)]);
-    let serial: Vec<_> = reads
-        .iter()
-        .map(|r| idx.search(r, 2, Method::ALGORITHM_A).0)
-        .collect();
-    for threads in THREAD_WIDTHS {
-        let pool = ThreadPool::new(threads);
-        let (occ, _) = idx.search_batch_par(&reads, 2, Method::ALGORITHM_A, &pool);
-        assert_eq!(occ, serial, "threads={threads}");
     }
 }
 

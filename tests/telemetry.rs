@@ -31,9 +31,9 @@ proptest! {
         k in 0usize..5,
     ) {
         let index = KMismatchIndex::new(text);
-        let quiet = index.search_recorded(&pattern, k, Method::ALGORITHM_A, &NoopRecorder);
+        let quiet = index.search_with(&pattern, k, Method::ALGORITHM_A, None, &NoopRecorder).into_inner();
         let recorder = MetricsRecorder::new();
-        let loud = index.search_recorded(&pattern, k, Method::ALGORITHM_A, &recorder);
+        let loud = index.search_with(&pattern, k, Method::ALGORITHM_A, None, &recorder).into_inner();
         prop_assert_eq!(quiet.occurrences, loud.occurrences);
         prop_assert_eq!(quiet.stats, loud.stats);
         // The recorder mirrors the returned stats rather than inventing
@@ -55,7 +55,7 @@ proptest! {
         let quiet = index.search(&pattern, k, Method::Bwt { use_phi: true });
         let recorder = MetricsRecorder::new();
         let loud =
-            index.search_recorded(&pattern, k, Method::Bwt { use_phi: true }, &recorder);
+            index.search_with(&pattern, k, Method::Bwt { use_phi: true }, None, &recorder).into_inner();
         prop_assert_eq!(quiet.occurrences, loud.occurrences);
         prop_assert_eq!(quiet.stats, loud.stats);
         prop_assert_eq!(recorder.counter(Counter::PhiPrunes), loud.stats.phi_prunes);
@@ -73,7 +73,9 @@ fn snapshot_reflects_a_real_search_session() {
     );
     for start in [100usize, 900, 2_500] {
         let pattern = genome[start..start + 40].to_vec();
-        let res = index.search_recorded(&pattern, 2, Method::ALGORITHM_A, &recorder);
+        let res = index
+            .search_with(&pattern, 2, Method::ALGORITHM_A, None, &recorder)
+            .into_inner();
         assert!(res.occurrences.iter().any(|o| o.position == start));
     }
     let snap = recorder.snapshot();
@@ -132,7 +134,11 @@ fn full_observability_stack_does_not_perturb_results() {
     let mut quiet_results = Vec::new();
     for start in [50usize, 700, 1_900, 3_200] {
         let pattern = genome[start..start + 32].to_vec();
-        quiet_results.push(index.search_recorded(&pattern, 2, Method::ALGORITHM_A, &NoopRecorder));
+        quiet_results.push(
+            index
+                .search_with(&pattern, 2, Method::ALGORITHM_A, None, &NoopRecorder)
+                .into_inner(),
+        );
     }
 
     let recorder = MetricsRecorder::new();
@@ -143,7 +149,9 @@ fn full_observability_stack_does_not_perturb_results() {
             .map(|&start| {
                 let pattern = genome[start..start + 32].to_vec();
                 events::debug("test.search", "query", &[("start", start.to_string())]);
-                index.search_recorded(&pattern, 2, Method::ALGORITHM_A, &recorder)
+                index
+                    .search_with(&pattern, 2, Method::ALGORITHM_A, None, &recorder)
+                    .into_inner()
             })
             .collect()
     };

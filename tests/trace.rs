@@ -7,7 +7,7 @@
 //! produces the same per-query span multiset as a serial one at any
 //! thread width (only worker attribution may differ).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use bwt_kmismatch::core::{MapperConfig, ReadMapper};
 use bwt_kmismatch::dna::genome::{markov, MarkovConfig};
@@ -85,7 +85,7 @@ fn traced_search_results_are_bit_identical() {
         for read in reads.iter().take(10) {
             let plain = idx.search(read, 2, method);
             let rec = TraceRecorder::new();
-            let traced = idx.search_recorded(read, 2, method, &rec);
+            let traced = idx.search_with(read, 2, method, None, &rec).into_inner();
             assert_eq!(plain.occurrences, traced.occurrences);
             assert_eq!(plain.stats, traced.stats);
         }
@@ -104,12 +104,42 @@ fn traced_map_results_are_bit_identical() {
         },
     );
     for read in reads.iter().take(10) {
-        let plain = mapper.map_recorded(read, &NoopRecorder);
+        let plain = mapper.map_with(read, None, &NoopRecorder).into_inner();
         let rec = TraceRecorder::new();
-        let traced = mapper.map_recorded(read, &rec);
+        let traced = mapper.map_with(read, None, &rec).into_inner();
         assert_eq!(plain, traced);
         // Each mapped read produced exactly one rooted trace.
         assert_eq!(rec.traces().len(), 1);
+    }
+}
+
+#[test]
+fn traced_map_root_label_repeats_no_key() {
+    // A read's root span carries the read's own label; its nested strand
+    // queries must not append a second `k=` (or an `m=` that restates
+    // `read_len=`).
+    let (idx, reads) = test_corpus();
+    let mapper = ReadMapper::new(
+        &idx,
+        MapperConfig {
+            k: 3,
+            both_strands: true,
+            method: Method::Bidirectional,
+        },
+    );
+    let rec = TraceRecorder::new();
+    mapper.map_batch_recorded(&reads[..8], &ThreadPool::new(2), &rec);
+    let traces = rec.traces();
+    assert_eq!(traces.len(), 8);
+    for t in &traces {
+        let keys: Vec<&str> = t
+            .label
+            .split_whitespace()
+            .map(|word| word.split('=').next().unwrap())
+            .collect();
+        let unique: BTreeSet<&str> = keys.iter().copied().collect();
+        assert_eq!(unique.len(), keys.len(), "repeated key in {:?}", t.label);
+        assert!(t.label.contains("method=Bidir"), "{:?}", t.label);
     }
 }
 
@@ -118,7 +148,7 @@ fn spans_nest_within_their_parents() {
     let (idx, reads) = test_corpus();
     let rec = TraceRecorder::new();
     for read in reads.iter().take(20) {
-        idx.search_recorded(read, 2, Method::ALGORITHM_A, &rec);
+        idx.search_with(read, 2, Method::ALGORITHM_A, None, &rec);
     }
     let traces = rec.traces();
     assert_eq!(traces.len(), 20);
@@ -133,18 +163,16 @@ fn spans_nest_within_their_parents() {
 fn batch_widths_produce_same_span_multiset_per_query() {
     let (idx, reads) = test_corpus();
     let serial = TraceRecorder::new();
-    idx.search_batch_recorded(
-        reads.iter().map(|r| r.as_slice()).collect::<Vec<_>>(),
-        2,
-        Method::ALGORITHM_A,
-        &serial,
-    );
+    for (i, read) in reads.iter().enumerate() {
+        serial.annotate(&format!("q={i}"));
+        idx.search_with(read, 2, Method::ALGORITHM_A, None, &serial);
+    }
     let want = span_multisets(&serial.traces());
     assert_eq!(want.len(), reads.len());
     for threads in THREAD_WIDTHS {
         let pool = ThreadPool::new(threads);
         let rec = TraceRecorder::new();
-        idx.search_batch_par_recorded(&reads, 2, Method::ALGORITHM_A, &pool, &rec);
+        idx.search_batch(&reads, 2, Method::ALGORITHM_A, &pool, None, &rec);
         let got = span_multisets(&rec.traces());
         assert_eq!(got, want, "span multisets diverged at threads={threads}");
     }
@@ -158,7 +186,7 @@ fn flight_recorder_keeps_the_k_slowest_sorted() {
         ..TraceConfig::default()
     });
     for read in &reads {
-        idx.search_recorded(read, 2, Method::ALGORITHM_A, &rec);
+        idx.search_with(read, 2, Method::ALGORITHM_A, None, &rec);
     }
     let slowest = rec.flight().slowest();
     assert_eq!(slowest.len(), 4);
@@ -180,7 +208,7 @@ fn chrome_trace_export_is_loadable_json() {
     let (idx, reads) = test_corpus();
     let rec = TraceRecorder::new();
     for read in reads.iter().take(5) {
-        idx.search_recorded(read, 2, Method::ALGORITHM_A, &rec);
+        idx.search_with(read, 2, Method::ALGORITHM_A, None, &rec);
     }
     let doc = rec.chrome_trace();
     // Round-trip through the serialised form, as Perfetto would read it.
