@@ -19,7 +19,7 @@ use kmm_core::{KMismatchIndex, Method, SearchStats};
 use kmm_dna::genome::ReferenceGenome;
 use kmm_dna::reads::{ReadSimConfig, ReadSimulator};
 use kmm_par::ThreadPool;
-use kmm_telemetry::{Hist, Json, MetricsRecorder};
+use kmm_telemetry::{Hist, Json, MetricsRecorder, NoopRecorder};
 
 /// Schema tag stamped into every `BENCH_*.json` artifact.
 pub const BENCH_SCHEMA: &str = "kmm-bench/v1";
@@ -107,7 +107,7 @@ pub fn run_method(index: &KMismatchIndex, reads: &[Vec<u8>], k: usize, method: M
     // Build what the method materialises lazily (suffix tree, mirror)
     // outside the timed region, like the paper ("the time for
     // constructing BWT(s̄) is not included").
-    index.prepare(method);
+    index.prepare(method, &ThreadPool::serial(), &NoopRecorder);
     let recorder = MetricsRecorder::new();
     let start = Instant::now();
     let mut stats = SearchStats::default();
@@ -140,7 +140,7 @@ pub fn run_method_par(
     method: Method,
     pool: &ThreadPool,
 ) -> TimedRun {
-    index.prepare(method);
+    index.prepare(method, pool, &NoopRecorder);
     let recorder = MetricsRecorder::new();
     let start = Instant::now();
     let (per_read, stats) = index.search_batch(reads, k, method, pool, None, &recorder);

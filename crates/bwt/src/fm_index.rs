@@ -10,9 +10,9 @@
 //! target so that backward search consumes patterns left-to-right
 //! (paper Section IV, Definition 1).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use kmm_dna::{SENTINEL, SIGMA};
+use kmm_dna::{PackedSeq, SENTINEL, SIGMA};
 use kmm_par::ThreadPool;
 use kmm_suffix::sais::suffix_array;
 use kmm_telemetry::{NoopRecorder, Phase, Recorder};
@@ -21,7 +21,7 @@ use crate::bwt::bwt_from_sa_with;
 use crate::interval::{Interval, Pair};
 use crate::limits::{check_text_len, TextTooLarge};
 use crate::mmap::{IndexBytes, MmapRegion, U32Store, U64Store};
-use crate::occ::RankAll;
+use crate::occ::{lcm, RankAll};
 use crate::sampled_sa::SampledSuffixArray;
 use crate::serialize::{SectionEntry, SectionPayload, SectionTable, SerializeError};
 
@@ -298,14 +298,11 @@ impl FmIndex {
     }
 
     /// LF mapping: the row of the suffix that starts one position earlier.
+    /// One rank block visit ([`Self::lf_step`]); the row whose `L` is the
+    /// sentinel maps to row 0.
     #[inline]
     pub fn lf(&self, row: u32) -> u32 {
-        let sym = self.l.symbol(row as usize);
-        if sym == SENTINEL {
-            0
-        } else {
-            self.c[sym as usize] + self.l.occ(sym, row as usize)
-        }
+        self.lf_step(row).map_or(0, |(_, next)| next)
     }
 
     /// `SA[row]` resolved through the sampled suffix array.
@@ -349,6 +346,12 @@ impl FmIndex {
     /// Bytes of the sampled suffix array (the `locate` side of the index).
     pub fn sampled_sa_bytes(&self) -> usize {
         self.ssa.heap_bytes()
+    }
+
+    /// The suffix-array sampling rate: a locate walks fewer LF steps
+    /// than this.
+    pub fn sa_rate(&self) -> usize {
+        self.ssa.rate()
     }
 
     /// The rankall checkpoint rate the index was built (or loaded) with
@@ -753,19 +756,81 @@ impl FmIndex {
     /// Fixed byte length of the optional mirror meta section.
     pub const MIRROR_META_BYTES: usize = 2 * 8;
 
-    /// Reconstruct the indexed text (sentinel included) by LF-walking.
-    /// O(n · occ); used by tests and the index explorer example.
+    /// Reconstruct the indexed text (sentinel included) on one thread;
+    /// see [`Self::reconstruct_text_with`].
     pub fn reconstruct_text(&self) -> Vec<u8> {
-        let n = self.len();
-        let mut out = vec![0u8; n];
-        let mut row = 0u32;
-        for i in (0..n - 1).rev() {
-            let sym = self.l.symbol(row as usize);
-            out[i] = sym;
-            row = self.lf(row);
-        }
-        out[n - 1] = SENTINEL;
+        self.reconstruct_text_with(&ThreadPool::serial())
+    }
+
+    /// Reconstruct the indexed text (sentinel included) by LF chains
+    /// on `pool` ([`Self::rebuild_into`]): `n` rank block visits.
+    pub fn reconstruct_text_with(&self, pool: &ThreadPool) -> Vec<u8> {
+        let n = self.len() - 1;
+        let mut out = vec![SENTINEL; n + 1];
+        self.rebuild_into(pool, &mut out[..n], 1, |byte, _, sym| *byte = sym);
         out
+    }
+
+    /// The indexed text without its sentinel, 2-bit packed (`n / 4`
+    /// bytes), rebuilt by LF chains on `pool` without ever holding a
+    /// byte per symbol.
+    pub fn packed_text(&self, pool: &ThreadPool) -> PackedSeq {
+        let n = self.len() - 1;
+        let mut bytes = vec![0u8; n.div_ceil(4)];
+        self.rebuild_into(pool, &mut bytes, 4, |byte, slot, sym| {
+            *byte |= (sym - 1) << (2 * slot)
+        });
+        PackedSeq::from_raw(bytes, n)
+    }
+
+    /// Write the indexed text `T[0..n)` (sentinel excluded) into `out`,
+    /// `per_unit` symbols per element, `put(unit, slot, symbol)` storing
+    /// one. The text is cut into chunks whose length is a multiple of
+    /// both the SA sampling rate and `per_unit`; chunk `[a, b)` is one
+    /// independent LF chain from the row whose SA value is `b` — a
+    /// sample, or row 0 (`SA = n`) for the last chunk — emitting
+    /// `T[b-1], T[b-2], ..., T[a]`. The chains run on `pool` and each
+    /// owns its chunk's elements of `out`, so the result is the same at
+    /// any width.
+    fn rebuild_into<U: Send>(
+        &self,
+        pool: &ThreadPool,
+        out: &mut [U],
+        per_unit: usize,
+        put: impl Fn(&mut U, usize, u8) + Sync,
+    ) {
+        let n = self.len() - 1;
+        if n == 0 {
+            return;
+        }
+        // A few chunks per worker, so uneven chains rebalance.
+        let chunk = n
+            .div_ceil(pool.threads() * 4)
+            .next_multiple_of(lcm(self.sa_rate(), per_unit));
+        let chains = n.div_ceil(chunk);
+        let mut starts = vec![0u32; chains];
+        if chains > 1 {
+            for (row, v) in self.ssa.sampled_rows() {
+                let v = v as usize;
+                if v > 0 && v < n && v.is_multiple_of(chunk) {
+                    starts[v / chunk - 1] = row as u32;
+                }
+            }
+        }
+        let parts: Vec<Mutex<&mut [U]>> =
+            out.chunks_mut(chunk / per_unit).map(Mutex::new).collect();
+        pool.par_map(&parts, |j, part| {
+            let mut part = part.lock().expect("each chunk has one writer");
+            let a = j * chunk;
+            let mut row = starts[j];
+            for i in (a..(a + chunk).min(n)).rev() {
+                // `L[row]` is the sentinel only on the row of suffix 0,
+                // which no chain reaches.
+                let (sym, next) = self.lf_step(row).expect("chain stays above suffix 0");
+                put(&mut part[(i - a) / per_unit], (i - a) % per_unit, sym);
+                row = next;
+            }
+        });
     }
 }
 
@@ -879,6 +944,41 @@ mod tests {
     fn reconstruct_recovers_text() {
         let (fm, text) = index(b"gattacagatta");
         assert_eq!(fm.reconstruct_text(), text);
+    }
+
+    /// The LF chains rebuild the source text, byte-wise and packed, at
+    /// any width: lengths off the 32-symbol word grid and off the
+    /// sampling grid, a text shorter than one sampling period, and the
+    /// sampling-rate extremes.
+    #[test]
+    fn chain_rebuild_matches_source_text() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for n in [1usize, 5, 15, 16, 33, 100, 1_000, 4_099] {
+            let mut text: Vec<u8> = (0..n)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1);
+                    (state >> 62) as u8 + 1
+                })
+                .collect();
+            text.push(SENTINEL);
+            for sa_rate in [1, 16, 32] {
+                let config = FmBuildConfig {
+                    sa_rate,
+                    ..FmBuildConfig::default()
+                };
+                let fm = FmIndex::new(&text, config);
+                for width in [1, 2, 8] {
+                    let pool = ThreadPool::new(width);
+                    let ctx = format!("n={n} sa_rate={sa_rate} width={width}");
+                    assert_eq!(fm.reconstruct_text_with(&pool), text, "{ctx}");
+                    let packed = fm.packed_text(&pool);
+                    assert_eq!(packed.to_codes(), text[..n], "{ctx}");
+                    assert_eq!(packed.heap_bytes(), n.div_ceil(4), "{ctx}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ const HEADER_WORDS: usize = 2;
 
 /// Least common multiple; block spans must sit on both the packed word
 /// grid and the checkpoint grid.
-fn lcm(a: usize, b: usize) -> usize {
+pub(crate) fn lcm(a: usize, b: usize) -> usize {
     fn gcd(mut a: usize, mut b: usize) -> usize {
         while b != 0 {
             (a, b) = (b, a % b);

@@ -241,6 +241,26 @@ impl SampledSuffixArray {
         }
     }
 
+    /// Every sampled row with its SA value, in row order: one pass over
+    /// the mark bitmap's set bits, paired with the samples they index.
+    pub fn sampled_rows(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
+        let words: &[u64] = &self.marked.words;
+        words
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &word)| {
+                let mut bits = word;
+                std::iter::from_fn(move || {
+                    (bits != 0).then(|| {
+                        let row = w * 64 + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        row
+                    })
+                })
+            })
+            .zip(self.samples.iter().copied())
+    }
+
     /// Resolve `SA[row]` by walking `lf` until a sampled row is found.
     /// `lf(row)` must map a row to the row of the preceding suffix.
     pub fn resolve(&self, mut row: usize, lf: impl Fn(usize) -> usize) -> u32 {
@@ -360,6 +380,15 @@ mod tests {
         assert_eq!(s.get(2), Some(4));
         assert_eq!(s.get(0), None);
         assert_eq!(s.rate(), 4);
+        assert_eq!(s.sampled_rows().collect::<Vec<_>>(), vec![(2, 4), (3, 0)]);
+        // Rows past the first bitmap word pair with their samples too.
+        let sa: Vec<u32> = (0..150).rev().collect();
+        let s = SampledSuffixArray::new(&sa, 3);
+        let want: Vec<(usize, u32)> = (0..150)
+            .map(|row| (row, sa[row]))
+            .filter(|&(_, v)| v % 3 == 0)
+            .collect();
+        assert_eq!(s.sampled_rows().collect::<Vec<_>>(), want);
     }
 
     #[test]

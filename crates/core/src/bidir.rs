@@ -14,23 +14,31 @@
 //!
 //! The precomputed tables for `k = 1..3` are complete **and disjoint**
 //! (machine-checked in the tests below): every error distribution over
-//! the pieces is enumerated by exactly one search, so no occurrence is
-//! found twice. The pigeonhole fallback used for larger `k` (or when
-//! `KMM_BIDIR_PIGEONHOLE=1` forces it, the bench's planted-regression
-//! hook) is complete but overlapping; results are sorted and deduped
-//! either way.
+//! the pieces is enumerated by exactly one search. The pigeonhole
+//! family used for larger `k` (or when `KMM_BIDIR_PIGEONHOLE=1` forces
+//! its plain form, the bench's planted-regression hook) is complete but
+//! overlapping.
+//!
+//! Once a search has narrowed to one row with at least `sa_rate` steps
+//! left, walking on costs a rank block visit per symbol, while locating
+//! the row costs fewer than `sa_rate`. The walk then *verifies*: it
+//! locates the row once and compares the rest of the read against the
+//! 2-bit packed text, reporting the window if its Hamming distance is
+//! at most `k`. Verification ignores the scheme's bounds, so a window
+//! may be reported by more than one search; results are sorted and
+//! deduped either way.
 
 use std::sync::OnceLock;
 
 use kmm_bwt::{BiFmIndex, BiInterval, FmIndex, RankAll};
 use kmm_classic::Occurrence;
-use kmm_dna::BASES;
+use kmm_dna::{PackedSeq, BASES};
 use kmm_telemetry::{Hist, Phase, PruneCause, Recorder};
 
 use crate::algorithm_a::AlgorithmA;
 use crate::cancel::{CancelToken, Gate, Outcome};
 use crate::stats::SearchStats;
-use crate::stree::report_interval;
+use crate::stree::{report_interval, rev_pos_to_forward};
 
 /// A full search scheme for one mismatch budget `k`: a set of searches,
 /// each processing the pattern pieces in an order `π` that grows a
@@ -44,8 +52,17 @@ pub struct Scheme {
     pub k: usize,
     /// Number of pattern pieces `P`.
     pub pieces: usize,
-    /// The precomputed searches, or `None` for the pigeonhole family.
-    table: Option<&'static [RawSearch]>,
+    family: Family,
+}
+
+/// Where a [`Scheme`]'s searches come from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Family {
+    /// A precomputed table.
+    Table(&'static [RawSearch]),
+    /// The pigeonhole formula. `tight` caps the left sweep's upper
+    /// bounds by the errors its remaining pieces still owe.
+    Pigeonhole { tight: bool },
 }
 
 type RawSearch = (&'static [usize], &'static [usize], &'static [usize]);
@@ -94,7 +111,7 @@ impl Scheme {
         Some(Scheme {
             k,
             pieces: table[0].0.len(),
-            table: Some(table),
+            family: Family::Table(table),
         })
     }
 
@@ -108,40 +125,60 @@ impl Scheme {
         Scheme {
             k,
             pieces: k + 1,
-            table: None,
+            family: Family::Pigeonhole { tight: false },
+        }
+    }
+
+    /// [`Self::pigeonhole`] with tighter upper bounds on the left sweep:
+    /// after the sweep's `i`-th piece, the `j − i` earlier pieces still
+    /// to come each owe at least one error, so search `j` admits at
+    /// most `k − (j − i)` so far. Every distribution whose first exact
+    /// piece is `j` still fits search `j`, so the family stays complete.
+    pub fn tight_pigeonhole(k: usize) -> Scheme {
+        Scheme {
+            family: Family::Pigeonhole { tight: true },
+            ..Scheme::pigeonhole(k)
         }
     }
 
     /// The scheme [`BidirSearch`] uses for budget `k`: the precomputed
-    /// table when one exists, the pigeonhole fallback otherwise.
-    /// Setting `KMM_BIDIR_PIGEONHOLE=1` forces the fallback — the
-    /// planted-regression hook for the bench gate. The variable is read
-    /// once per process.
+    /// table when one exists, the tightened pigeonhole family
+    /// otherwise. Setting `KMM_BIDIR_PIGEONHOLE=1` forces the plain
+    /// pigeonhole family at every `k` — the planted-regression hook for
+    /// the bench gate. The variable is read once per process.
     pub fn for_k(k: usize) -> Scheme {
         static FORCED: OnceLock<bool> = OnceLock::new();
         let forced =
             *FORCED.get_or_init(|| std::env::var("KMM_BIDIR_PIGEONHOLE").is_ok_and(|v| v != "0"));
         match Scheme::optimum(k) {
-            Some(scheme) if !forced => scheme,
-            _ => Scheme::pigeonhole(k),
+            _ if forced => Scheme::pigeonhole(k),
+            Some(scheme) => scheme,
+            None => Scheme::tight_pigeonhole(k),
         }
     }
 
     /// Number of searches.
     pub fn search_count(&self) -> usize {
-        self.table.map_or(self.pieces, <[RawSearch]>::len)
+        match self.family {
+            Family::Table(table) => table.len(),
+            Family::Pigeonhole { .. } => self.pieces,
+        }
     }
 
     /// Entry `i` of search `j`: the piece processed `i`-th and the
     /// cumulative `(lower, upper)` bounds after it.
     fn entry(&self, j: usize, i: usize) -> (usize, usize, usize) {
-        match self.table {
-            Some(table) => (table[j].0[i], table[j].1[i], table[j].2[i]),
+        match self.family {
+            Family::Table(table) => (table[j].0[i], table[j].1[i], table[j].2[i]),
             // Pieces j, j-1, ..., 0, then j+1, ..., P-1.
-            None => (
+            Family::Pigeonhole { tight } => (
                 if i <= j { j - i } else { i },
                 i.min(j),
-                if i == 0 { 0 } else { self.k },
+                match i {
+                    0 => 0,
+                    _ if tight && i < j => self.k - (j - i),
+                    _ => self.k,
+                },
             ),
         }
     }
@@ -163,6 +200,10 @@ struct Piece {
     left: bool,
     /// Cumulative upper bound of this piece.
     upper: usize,
+    /// The end of the matched window this piece leaves in place: its
+    /// upper end for a leftward piece, its lower end for a rightward
+    /// one.
+    fixed: usize,
     /// Max over this and every later piece of `lower − last step`.
     /// Each step adds at most one mismatch, so after step `t` at least
     /// `t + sufmax` must be accrued for every remaining lower bound to
@@ -196,6 +237,7 @@ impl Plan {
             let (piece, lower, upper) = scheme.entry(j, i);
             let (s, e) = (bound(piece), bound(piece + 1));
             let left = i > 0 && s != hi;
+            let fixed = if left { hi } else { lo };
             let origin = if left {
                 debug_assert_eq!(e, lo, "piece order must grow the window contiguously");
                 lo = s;
@@ -212,6 +254,7 @@ impl Plan {
                 origin,
                 left,
                 upper,
+                fixed,
                 sufmax: 0,
             };
         }
@@ -236,23 +279,37 @@ impl Plan {
         };
         (pos as usize, (t as isize + p.sufmax).max(0) as usize)
     }
+
+    /// The pattern positions `[lo, hi)` the first `t` steps matched,
+    /// when step `t` lies in piece `piece`.
+    #[inline]
+    fn window(&self, piece: usize, t: usize) -> (usize, usize) {
+        let (pos, _) = self.step(piece, t);
+        let p = &self.pieces[piece];
+        if p.left {
+            (pos + 1, p.fixed)
+        } else {
+            (p.fixed, pos)
+        }
+    }
 }
 
 /// The scheme-driven bidirectional searcher (`Method::Bidirectional`).
 #[derive(Debug, Clone, Copy)]
 pub struct BidirSearch<'a> {
     bi: BiFmIndex<'a>,
-    text_len: usize,
+    text: &'a PackedSeq,
 }
 
 impl<'a> BidirSearch<'a> {
     /// `fm` must index `reverse(s) + $`, `mirror` must be the rankall of
-    /// `BWT(s + $)` (see [`kmm_bwt::build_mirror`]); `text_len = |s|`.
-    pub fn new(fm: &'a FmIndex, mirror: &'a RankAll, text_len: usize) -> Self {
-        debug_assert_eq!(fm.len(), text_len + 1);
+    /// `BWT(s + $)` (see [`kmm_bwt::build_mirror`]), and `text` must be
+    /// `reverse(s)` packed, as [`FmIndex::packed_text`] rebuilds it.
+    pub fn new(fm: &'a FmIndex, mirror: &'a RankAll, text: &'a PackedSeq) -> Self {
+        debug_assert_eq!(fm.len(), text.len() + 1);
         BidirSearch {
             bi: BiFmIndex::new(fm, mirror),
-            text_len,
+            text,
         }
     }
 
@@ -270,7 +327,7 @@ impl<'a> BidirSearch<'a> {
     ) -> Outcome<(Vec<Occurrence>, SearchStats)> {
         let scheme = Scheme::for_k(k);
         if self.delegates(pattern, k, &scheme) {
-            return AlgorithmA::new(self.bi.fm(), self.text_len)
+            return AlgorithmA::new(self.bi.fm(), self.text.len())
                 .search(pattern, k, token, recorder);
         }
         self.search_scheme(pattern, &scheme, &Gate::new(token), recorder)
@@ -293,12 +350,14 @@ impl<'a> BidirSearch<'a> {
         recorder: &R,
     ) -> Outcome<(Vec<Occurrence>, SearchStats)> {
         let m = pattern.len();
-        if m > self.text_len {
+        if m > self.text.len() {
             return Outcome::Complete((Vec::new(), SearchStats::default()));
         }
         let mut walk = Walk {
             bi: self.bi,
-            text_len: self.text_len,
+            text: self.text,
+            sa_rate: self.bi.fm().sa_rate(),
+            k: scheme.k,
             pattern,
             gate,
             recorder,
@@ -320,8 +379,8 @@ impl<'a> BidirSearch<'a> {
             mut out, mut stats, ..
         } = walk;
         out.sort_unstable();
-        // Disjoint schemes never duplicate; the pigeonhole fallback
-        // does, and a duplicate is always the identical Occurrence.
+        // Overlapping searches and verification report some windows
+        // more than once, always as the identical Occurrence.
         out.dedup();
         stats.occurrences = out.len() as u64;
         stats.timeouts = u64::from(gate.tripped());
@@ -333,7 +392,11 @@ impl<'a> BidirSearch<'a> {
 /// The state of one query's DFS over the current scheme search.
 struct Walk<'q, 'g, R> {
     bi: BiFmIndex<'q>,
-    text_len: usize,
+    /// `reverse(s)`, 2-bit packed.
+    text: &'q PackedSeq,
+    /// One-row nodes with at least this many steps left verify.
+    sa_rate: usize,
+    k: usize,
     pattern: &'q [u8],
     gate: &'q Gate<'g>,
     recorder: &'q R,
@@ -359,7 +422,19 @@ impl<R: Recorder> Walk<'_, '_, R> {
             self.leaf(iv, t);
             // The primary interval matches the reversed full pattern,
             // exactly what the unidirectional searches locate through.
-            report_interval(self.bi.fm(), self.text_len, iv.prim, m, mism, &mut self.out);
+            report_interval(
+                self.bi.fm(),
+                self.text.len(),
+                iv.prim,
+                m,
+                mism,
+                &mut self.out,
+                self.gate,
+            );
+            return;
+        }
+        if iv.len() == 1 && t + self.sa_rate <= m {
+            self.verify(piece, t, iv, mism);
             return;
         }
         let Piece {
@@ -436,6 +511,42 @@ impl<R: Recorder> Walk<'_, '_, R> {
         if !any_child {
             self.leaf(iv, t + 1);
         }
+    }
+
+    /// Finish a one-row node without walking: locate its row once and
+    /// compare the read's unmatched positions against the text. The
+    /// node is a leaf either way.
+    fn verify(&mut self, piece: usize, t: usize, iv: BiInterval, mism: usize) {
+        self.stats.verified += 1;
+        if self.recorder.wants_depths() {
+            self.recorder.depth_verify(t);
+        }
+        self.leaf(iv, t);
+        let (lo, hi) = self.plan.window(piece, t);
+        debug_assert_eq!(hi - lo, t);
+        let (n, m) = (self.text.len(), self.plan.m);
+        // The row's suffix of `reverse(s)` starts with the reversed
+        // window, as at a leaf.
+        let window = rev_pos_to_forward(n, self.bi.fm().sa_value(iv.prim.lo) as usize, t);
+        // A read running past either text end has no occurrence here:
+        // the walk would have met the sentinel.
+        let Some(start) = window.checked_sub(lo).filter(|start| start + m <= n) else {
+            return;
+        };
+        let mut mismatches = mism;
+        for i in (0..lo).chain(hi..m) {
+            // s[f] is reverse(s)[n - 1 - f].
+            if self.pattern[i] != self.text.get(n - 1 - start - i) {
+                mismatches += 1;
+                if mismatches > self.k {
+                    return;
+                }
+            }
+        }
+        self.out.push(Occurrence {
+            position: start,
+            mismatches,
+        });
     }
 
     /// Count a leaf: the walk stopped at `iv` after `depth` steps.
@@ -537,8 +648,11 @@ mod tests {
 
     #[test]
     fn pigeonhole_is_complete_for_any_k() {
-        for k in 1..=5 {
-            let scheme = Scheme::pigeonhole(k);
+        let families = (1..=5)
+            .map(Scheme::pigeonhole)
+            .chain((1..=8).map(Scheme::tight_pigeonhole));
+        for scheme in families {
+            let k = scheme.k;
             assert_eq!(scheme.pieces, k + 1);
             assert_eq!(scheme.search_count(), k + 1);
             check_well_formed(&scheme);
@@ -546,21 +660,50 @@ mod tests {
                 let n = (0..scheme.search_count())
                     .filter(|&j| covers(&scheme, j, &d))
                     .count();
-                assert!(n >= 1, "k={k} distribution {d:?} uncovered");
+                assert!(n >= 1, "{scheme:?}: distribution {d:?} uncovered");
             }
         }
     }
 
+    #[test]
+    fn tight_pigeonhole_caps_only_the_left_sweep() {
+        for k in 1..=8 {
+            let (plain, tight) = (Scheme::pigeonhole(k), Scheme::tight_pigeonhole(k));
+            for j in 0..=k {
+                for (i, (p, t)) in triples(&plain, j)
+                    .into_iter()
+                    .zip(triples(&tight, j))
+                    .enumerate()
+                {
+                    assert_eq!((p.0, p.1), (t.0, t.1), "k={k} search {j}");
+                    let upper = if (1..j).contains(&i) {
+                        k - (j - i)
+                    } else {
+                        p.2
+                    };
+                    assert_eq!(t.2, upper, "k={k} search {j} entry {i}");
+                }
+            }
+        }
+        if std::env::var_os("KMM_BIDIR_PIGEONHOLE").is_none() {
+            assert_eq!(Scheme::for_k(3), Scheme::optimum(3).unwrap());
+            assert_eq!(Scheme::for_k(5), Scheme::tight_pigeonhole(5));
+        }
+    }
+
     /// Walk a plan the way the DFS does: `(pos, left, upper, need)` per
-    /// step, advancing the piece at each piece end.
-    fn walk_plan(plan: &Plan) -> Vec<(usize, bool, usize, usize)> {
+    /// step and the window matched before it, advancing the piece at
+    /// each piece end.
+    #[allow(clippy::type_complexity)]
+    fn walk_plan(plan: &Plan) -> Vec<((usize, bool, usize, usize), (usize, usize))> {
         let mut piece = 0;
         (0..plan.m)
             .map(|t| {
                 let (pos, need) = plan.step(piece, t);
+                let window = plan.window(piece, t);
                 let p = plan.pieces[piece];
                 piece += usize::from(t + 1 == p.end);
-                (pos, p.left, p.upper, need)
+                ((pos, p.left, p.upper, need), window)
             })
             .collect()
     }
@@ -569,7 +712,8 @@ mod tests {
     fn plans_consume_every_position_once_with_contiguous_windows() {
         let schemes = (0..=3)
             .map(|k| Scheme::optimum(k).unwrap())
-            .chain((1..=6).map(Scheme::pigeonhole));
+            .chain((1..=6).map(Scheme::pigeonhole))
+            .chain((4..=6).map(Scheme::tight_pigeonhole));
         for scheme in schemes {
             for m in [scheme.pieces, 7, 12, 31, 100] {
                 if m < scheme.pieces {
@@ -577,7 +721,8 @@ mod tests {
                 }
                 for j in 0..scheme.search_count() {
                     let search = triples(&scheme, j);
-                    let steps = walk_plan(&Plan::new(&scheme, j, m));
+                    let (steps, windows): (Vec<_>, Vec<_>) =
+                        walk_plan(&Plan::new(&scheme, j, m)).into_iter().unzip();
                     assert_eq!(steps.len(), m);
                     let bounds: Vec<usize> =
                         (0..=scheme.pieces).map(|i| i * m / scheme.pieces).collect();
@@ -586,6 +731,13 @@ mod tests {
                     let mut seen = vec![false; m];
                     let (mut lo, mut hi) = (steps[0].0, steps[0].0);
                     for (t, &(pos, left, upper, _)) in steps.iter().enumerate() {
+                        // The matched window is what verification skips.
+                        assert_eq!(
+                            windows[t],
+                            (lo, hi),
+                            "k={} search {j} m={m} t={t}",
+                            scheme.k
+                        );
                         assert!(!seen[pos], "position {pos} twice");
                         seen[pos] = true;
                         if left {
@@ -624,12 +776,12 @@ mod tests {
     }
 
     /// Build the searcher's three parts for a forward ASCII target.
-    fn setup(ascii: &[u8]) -> (FmIndex, RankAll, usize) {
+    fn setup(ascii: &[u8]) -> (FmIndex, RankAll, PackedSeq) {
         let text = kmm_dna::encode(ascii).unwrap();
         setup_encoded(&text)
     }
 
-    fn setup_encoded(text: &[u8]) -> (FmIndex, RankAll, usize) {
+    fn setup_encoded(text: &[u8]) -> (FmIndex, RankAll, PackedSeq) {
         let mut rev = text.to_vec();
         rev.reverse();
         rev.push(0);
@@ -637,13 +789,13 @@ mod tests {
         let mut fwd = text.to_vec();
         fwd.push(0);
         let mirror = build_mirror(&fwd, FmBuildConfig::default().occ_rate, 1).unwrap();
-        (fm, mirror, text.len())
+        (fm, mirror, text.iter().rev().copied().collect())
     }
 
     #[test]
     fn paper_figure3_search() {
-        let (fm, mirror, n) = setup(b"acagaca");
-        let bd = BidirSearch::new(&fm, &mirror, n);
+        let (fm, mirror, packed) = setup(b"acagaca");
+        let bd = BidirSearch::new(&fm, &mirror, &packed);
         let r = kmm_dna::encode(b"tcaca").unwrap();
         let (occ, stats) = bd.search(&r, 2, None, &NoopRecorder).into_inner();
         let positions: Vec<usize> = occ.iter().map(|o| o.position).collect();
@@ -660,8 +812,8 @@ mod tests {
         for _ in 0..40 {
             let n = rng.gen_range(1..250);
             let s: Vec<u8> = (0..n).map(|_| rng.gen_range(1..=4)).collect();
-            let (fm, mirror, len) = setup_encoded(&s);
-            let bd = BidirSearch::new(&fm, &mirror, len);
+            let (fm, mirror, packed) = setup_encoded(&s);
+            let bd = BidirSearch::new(&fm, &mirror, &packed);
             let m = rng.gen_range(1..=n.min(18));
             let r: Vec<u8> = (0..m).map(|_| rng.gen_range(1..=4)).collect();
             for k in 0..5usize {
@@ -678,7 +830,7 @@ mod tests {
     /// through both entry points must equal the naive scan, and the
     /// depth profile must account for every node and every child: the
     /// one-row step reports the same four child outcomes as the fused
-    /// 4-way step.
+    /// 4-way step, and a verified node reports none.
     #[test]
     fn one_row_steps_agree_with_naive_on_repeats_and_text_ends() {
         use kmm_dna::genome::{markov, uniform, MarkovConfig};
@@ -697,8 +849,9 @@ mod tests {
         homopolymers.extend([3u8; 300]);
         homopolymers.extend([1u8, 2].repeat(150));
         for text in [tandem, homopolymers, uniform(2_000, 9)] {
-            let (fm, mirror, n) = setup_encoded(&text);
-            let bd = BidirSearch::new(&fm, &mirror, n);
+            let (fm, mirror, packed) = setup_encoded(&text);
+            let bd = BidirSearch::new(&fm, &mirror, &packed);
+            let n = packed.len();
             for m in [12usize, 40] {
                 for start in [0, n / 3, n - m] {
                     let mut read = text[start..start + m].to_vec();
@@ -722,12 +875,15 @@ mod tests {
                         let rows = explain.take();
                         let expanded: u64 = rows.iter().map(|r| r.expanded).sum();
                         assert_eq!(expanded, stats.nodes_visited, "{ctx}");
-                        // Every node above the leaves reports four
-                        // children, each expanded or pruned one deeper.
+                        let verified: u64 = rows.iter().map(|r| r.verified).sum();
+                        assert_eq!(verified, stats.verified, "{ctx}");
+                        // Every expanded node above the leaves that was
+                        // not verified reports four children, each
+                        // expanded or pruned one deeper.
                         for d in 1..rows.len() {
                             assert_eq!(
                                 rows[d].expanded + rows[d].pruned_total(),
-                                4 * rows[d - 1].expanded,
+                                4 * (rows[d - 1].expanded - rows[d - 1].verified),
                                 "{ctx} depth {d}"
                             );
                         }
@@ -745,8 +901,8 @@ mod tests {
         for _ in 0..15 {
             let n = rng.gen_range(20..200);
             let s: Vec<u8> = (0..n).map(|_| rng.gen_range(1..=4)).collect();
-            let (fm, mirror, len) = setup_encoded(&s);
-            let bd = BidirSearch::new(&fm, &mirror, len);
+            let (fm, mirror, packed) = setup_encoded(&s);
+            let bd = BidirSearch::new(&fm, &mirror, &packed);
             let m = rng.gen_range(8..=16);
             let r: Vec<u8> = (0..m).map(|_| rng.gen_range(1..=4)).collect();
             for k in 1..=3usize {
@@ -766,8 +922,8 @@ mod tests {
         // after each exact descent, so branches survive into the region
         // where only the tighter precomputed bounds prune them.
         let g = kmm_dna::genome::uniform(100_000, 7);
-        let (fm, mirror, len) = setup_encoded(&g);
-        let bd = BidirSearch::new(&fm, &mirror, len);
+        let (fm, mirror, packed) = setup_encoded(&g);
+        let bd = BidirSearch::new(&fm, &mirror, &packed);
         for k in [2usize, 3] {
             let (mut opt_nodes, mut pig_nodes) = (0u64, 0u64);
             for start in [500usize, 7_000, 40_000, 90_000] {
@@ -792,9 +948,44 @@ mod tests {
     }
 
     #[test]
+    fn tight_pigeonhole_visits_no_more_nodes_than_plain() {
+        let g = kmm_dna::genome::uniform(100_000, 7);
+        let (fm, mirror, packed) = setup_encoded(&g);
+        let bd = BidirSearch::new(&fm, &mirror, &packed);
+        for k in [4usize, 5] {
+            let (mut tight_nodes, mut plain_nodes) = (0u64, 0u64);
+            for start in [500usize, 7_000, 40_000, 90_000] {
+                let mut r: Vec<u8> = g[start..start + 40].to_vec();
+                r[9] = r[9] % 4 + 1;
+                let gate = Gate::new(None);
+                let (tight_occ, tight) = bd
+                    .search_scheme(&r, &Scheme::tight_pigeonhole(k), &gate, &NoopRecorder)
+                    .into_inner();
+                let gate = Gate::new(None);
+                let (plain_occ, plain) = bd
+                    .search_scheme(&r, &Scheme::pigeonhole(k), &gate, &NoopRecorder)
+                    .into_inner();
+                assert_eq!(tight_occ, plain_occ, "k={k} start={start}");
+                assert_eq!(
+                    tight_occ,
+                    naive::find_k_mismatch(&g, &r, k),
+                    "k={k} start={start}"
+                );
+                tight_nodes += tight.nodes_visited;
+                plain_nodes += plain.nodes_visited;
+            }
+            assert!(
+                tight_nodes <= plain_nodes,
+                "k={k}: tight {tight_nodes} vs plain {plain_nodes}"
+            );
+        }
+    }
+
+    #[test]
     fn degenerate_budgets_delegate_cleanly() {
-        let (fm, mirror, n) = setup(b"acgtacgtac");
-        let bd = BidirSearch::new(&fm, &mirror, n);
+        let (fm, mirror, packed) = setup(b"acgtacgtac");
+        let bd = BidirSearch::new(&fm, &mirror, &packed);
+        let n = packed.len();
         // k >= m: every window matches.
         let r = kmm_dna::encode(b"tt").unwrap();
         let (occ, _) = bd.search(&r, 2, None, &NoopRecorder).into_inner();
@@ -819,8 +1010,8 @@ mod tests {
         // The largest stack plan (P = 32) and one piece past it, which
         // Algorithm A answers.
         let g = kmm_dna::genome::uniform(300, 8);
-        let (fm, mirror, n) = setup_encoded(&g);
-        let bd = BidirSearch::new(&fm, &mirror, n);
+        let (fm, mirror, packed) = setup_encoded(&g);
+        let bd = BidirSearch::new(&fm, &mirror, &packed);
         let r = g[100..160].to_vec();
         for k in [31, 32] {
             assert_eq!(
@@ -834,8 +1025,8 @@ mod tests {
     #[test]
     fn expired_deadline_truncates() {
         let g = kmm_dna::genome::uniform(5_000, 3);
-        let (fm, mirror, len) = setup_encoded(&g);
-        let bd = BidirSearch::new(&fm, &mirror, len);
+        let (fm, mirror, packed) = setup_encoded(&g);
+        let bd = BidirSearch::new(&fm, &mirror, &packed);
         let r: Vec<u8> = g[100..120].to_vec();
         let token = CancelToken::with_deadline(std::time::Duration::from_millis(0));
         let out = bd.search(&r, 2, Some(&token), &NoopRecorder);

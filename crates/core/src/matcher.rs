@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use kmm_bwt::{FmBuildConfig, FmIndex, RankAll};
 use kmm_classic::{amir, kangaroo, naive, Occurrence};
-use kmm_dna::SIGMA;
+use kmm_dna::{PackedSeq, SIGMA};
 use kmm_par::ThreadPool;
 use kmm_suffix::SuffixTree;
 use kmm_telemetry::alloc::{mem_stats, phase_scope, MemPhase};
@@ -123,11 +123,11 @@ pub struct SearchResult {
 /// A k-mismatch index over one target string.
 ///
 /// Holds the FM-index of the reversed target (used by the BWT baseline and
-/// Algorithm A) and lazily materialises what the other methods need: the
-/// forward text (for the scanning baselines) the first time it is asked
-/// for, and the suffix tree the first time the Cole method is requested.
-/// An index opened from disk therefore serves the FM-backed methods
-/// without ever paying the O(n·occ) text reconstruction.
+/// Algorithm A) and materialises what the other methods need once, in
+/// [`Self::prepare`] or before a method's first query: the forward text
+/// (for the scanning baselines), the suffix tree (Cole), and the mirror
+/// plus the packed text (Bidir). An index opened from disk therefore
+/// serves the FM-backed methods without ever rebuilding its text.
 #[derive(Debug)]
 pub struct KMismatchIndex {
     text: OnceLock<Vec<u8>>,
@@ -136,9 +136,12 @@ pub struct KMismatchIndex {
     fm: FmIndex,
     suffix_tree: OnceLock<SuffixTree>,
     /// Mirror rank structure over `BWT(text + $)` for the bidirectional
-    /// method: loaded from disk alongside the FM-index, or built on
-    /// first bidirectional search.
+    /// method: loaded from disk alongside the FM-index, or built from
+    /// the text.
     mirror: OnceLock<RankAll>,
+    /// `reverse(text)`, 2-bit packed, which the bidirectional method
+    /// verifies one-row nodes against. Held in process only.
+    packed: OnceLock<PackedSeq>,
 }
 
 impl KMismatchIndex {
@@ -173,6 +176,7 @@ impl KMismatchIndex {
             fm,
             suffix_tree: OnceLock::new(),
             mirror: OnceLock::new(),
+            packed: OnceLock::new(),
         }
     }
 
@@ -201,15 +205,16 @@ impl KMismatchIndex {
             fm,
             suffix_tree: OnceLock::new(),
             mirror: OnceLock::new(),
+            packed: OnceLock::new(),
         }
     }
 
     /// Assemble from a loaded FM-index alone. The forward text is *not*
     /// reconstructed here — the FM-backed methods (`Bwt`, `AlgorithmA`,
     /// k-errors) never need it, so an index served straight from disk
-    /// (or from an mmap) skips the O(n·occ) LF-walk entirely. The first
-    /// call that does need the text ([`Self::text`], the scanning
-    /// baselines, Cole, SeedFilter) pays it once, lazily.
+    /// (or from an mmap) skips the n-step LF rebuild entirely. The
+    /// first call that does need the text ([`Self::text`], the scanning
+    /// baselines, Cole, SeedFilter) pays it once.
     pub fn from_fm(fm: FmIndex) -> Self {
         Self::from_fm_with_mirror(fm, None)
     }
@@ -231,18 +236,39 @@ impl KMismatchIndex {
                 Some(m) => OnceLock::from(m),
                 None => OnceLock::new(),
             },
+            packed: OnceLock::new(),
         }
     }
 
     /// The indexed target (encoded, sentinel-free), reconstructing it
     /// from the FM-index on first use if the index was opened from disk.
     pub fn text(&self) -> &[u8] {
+        self.text_with(&ThreadPool::serial())
+    }
+
+    /// [`Self::text`], rebuilt by LF chains on `pool` if it is missing.
+    fn text_with(&self, pool: &ThreadPool) -> &[u8] {
         self.text.get_or_init(|| {
-            let mut rev = self.fm.reconstruct_text();
+            let mut rev = self.fm.reconstruct_text_with(pool);
             rev.pop(); // sentinel
             rev.reverse();
             rev
         })
+    }
+
+    /// `reverse(text)`, 2-bit packed: packed from the text when it is
+    /// resident, otherwise rebuilt from the FM-index by LF chains on
+    /// `pool` without a byte text ([`FmIndex::packed_text`]).
+    fn packed_text(&self, pool: &ThreadPool) -> &PackedSeq {
+        self.packed.get_or_init(|| match self.text.get() {
+            Some(text) => text.iter().rev().copied().collect(),
+            None => self.fm.packed_text(pool),
+        })
+    }
+
+    /// True when the packed text Bidir verifies against is resident.
+    fn has_packed_text(&self) -> bool {
+        self.packed.get().is_some()
     }
 
     /// Target length in bases.
@@ -300,23 +326,48 @@ impl KMismatchIndex {
         self.mirror.get().map(|m| m.heap_bytes())
     }
 
-    /// Build what `method` materialises lazily, so that no query pays for
-    /// it: the forward text for the scanners and SeedFilter, the suffix
-    /// tree for Cole, and the mirror rank structure for Bidir. The batch
-    /// entry points call this before their workers start, so no worker
-    /// blocks on another's `OnceLock` initialiser.
-    pub fn prepare(&self, method: Method) {
-        match method {
+    /// Build what `method` needs beyond the FM-index, so that no query
+    /// pays for it: the forward text for the scanners and SeedFilter,
+    /// the suffix tree for Cole, and the mirror rank structure plus the
+    /// packed text for Bidir. Missing text is rebuilt by LF chains on
+    /// `pool`. When anything is built, the work is timed as the
+    /// `index.prepare` phase on `recorder` (a phase total, not a span,
+    /// so it never becomes a trace of its own). The batch entry points
+    /// call this before their workers start, so no worker blocks on
+    /// another's `OnceLock` initialiser; a lone query calls it on one
+    /// thread before its clocks and cost counters start.
+    pub fn prepare<R: Recorder>(&self, method: Method, pool: &ThreadPool, recorder: &R) {
+        let ready = match method {
             Method::Naive | Method::Kangaroo | Method::Amir | Method::SeedFilter => {
-                self.text();
+                self.text_is_materialized()
             }
+            Method::Cole => self.suffix_tree.get().is_some(),
+            Method::Bidirectional => self.has_mirror() && self.has_packed_text(),
+            Method::Bwt { .. } | Method::AlgorithmA { .. } => true,
+        };
+        if ready {
+            return;
+        }
+        let start = recorder.enabled().then(Instant::now);
+        match method {
             Method::Cole => {
+                self.text_with(pool);
                 self.suffix_tree();
             }
             Method::Bidirectional => {
+                // A mirror that was not loaded is built from the text.
+                if !self.has_mirror() {
+                    self.text_with(pool);
+                }
                 self.mirror();
+                self.packed_text(pool);
             }
-            Method::Bwt { .. } | Method::AlgorithmA { .. } => {}
+            _ => {
+                self.text_with(pool);
+            }
+        }
+        if let Some(start) = start {
+            recorder.phase_add(Phase::IndexPrepare, start.elapsed().as_nanos() as u64);
         }
     }
 
@@ -374,6 +425,7 @@ impl KMismatchIndex {
         recorder: &R,
         root: bool,
     ) -> Outcome<SearchResult> {
+        self.prepare(method, &ThreadPool::serial(), &NoopRecorder);
         let tracing = recorder.wants_spans();
         if tracing {
             if root {
@@ -407,8 +459,12 @@ impl KMismatchIndex {
             Method::SeedFilter => unless_expired(token, recorder, || {
                 SeedFilterSearch::new(&self.fm, self.text()).search(pattern, k)
             }),
-            Method::Bidirectional => BidirSearch::new(&self.fm, self.mirror(), self.len)
-                .search(pattern, k, token, recorder),
+            Method::Bidirectional => BidirSearch::new(
+                &self.fm,
+                self.mirror(),
+                self.packed_text(&ThreadPool::serial()),
+            )
+            .search(pattern, k, token, recorder),
         };
         let outcome = outcome.map(|(occurrences, mut stats)| {
             attribute_costs(&mut stats, &cost_start, recorder);
@@ -439,10 +495,10 @@ impl KMismatchIndex {
     /// The methods run **serially in the given order** whatever the
     /// caller's thread budget: every field of the report except the heap
     /// ledger is a pure function of (index, pattern, k, method), and the
-    /// serial order makes the lazy first-touch charges (text
-    /// reconstruction, suffix tree) land on the same method every time —
-    /// so the rendered report is byte-identical across runs, thread
-    /// widths, and SIMD kernel choices. The verdict compares
+    /// serial order makes the first-touch heap charges (text
+    /// reconstruction, suffix tree, mirror) land on the same method
+    /// every time — so the rendered report is byte-identical across
+    /// runs, thread widths, and SIMD kernel choices. The verdict compares
     /// deterministic work counters only, never wall-clock.
     pub fn explain(&self, pattern: &[u8], k: usize, methods: &[Method]) -> ExplainReport {
         let mut report = ExplainReport {
@@ -609,7 +665,7 @@ impl KMismatchIndex {
         R: Recorder + Sync,
         J: BatchJob,
     {
-        self.prepare(method);
+        self.prepare(method, pool, recorder);
         let shard_metrics = recorder.enabled();
         let tracing = recorder.wants_spans();
         let epoch = recorder.trace_epoch();
@@ -886,12 +942,16 @@ mod tests {
         let idx = KMismatchIndex::from_fm_with_mirror(fm, mirror);
         assert!(idx.has_mirror());
         assert!(!idx.text_is_materialized());
+        assert!(!idx.has_packed_text());
+        idx.prepare(Method::Bidirectional, &ThreadPool::new(2), &NoopRecorder);
+        assert!(idx.has_packed_text());
         let pat = kmm_dna::encode(b"acagat").unwrap();
         assert_eq!(
             idx.search(&pat, 2, Method::Bidirectional).occurrences,
             built.search(&pat, 2, Method::Bidirectional).occurrences
         );
-        // Bidirectional search through a loaded mirror needs no text.
+        // Bidirectional search through a loaded mirror verifies against
+        // the packed text and never builds the byte text.
         assert!(!idx.text_is_materialized());
     }
 
@@ -903,17 +963,20 @@ mod tests {
         let load = || KMismatchIndex::from_fm(kmm_bwt::FmIndex::load(&bytes[..]).unwrap());
         for method in METHODS {
             let idx = load();
-            idx.prepare(method);
+            let recorder = kmm_telemetry::MetricsRecorder::new();
+            idx.prepare(method, &ThreadPool::new(2), &recorder);
             // Only the FM-backed unidirectional methods run without the
             // text; the suffix tree and the mirror are built from it.
             let needs_text = !matches!(method, Method::Bwt { .. } | Method::AlgorithmA { .. });
             assert_eq!(idx.text_is_materialized(), needs_text, "{}", method.label());
-            assert_eq!(
-                idx.has_mirror(),
-                method == Method::Bidirectional,
-                "{}",
-                method.label()
-            );
+            let bidir = method == Method::Bidirectional;
+            assert_eq!(idx.has_mirror(), bidir, "{}", method.label());
+            assert_eq!(idx.has_packed_text(), bidir, "{}", method.label());
+            // The build is one timed phase; a prepared index skips it.
+            let entries = || recorder.snapshot().phase(Phase::IndexPrepare).entries;
+            assert_eq!(entries(), u64::from(needs_text), "{}", method.label());
+            idx.prepare(method, &ThreadPool::new(2), &recorder);
+            assert_eq!(entries(), u64::from(needs_text), "{}", method.label());
         }
     }
 

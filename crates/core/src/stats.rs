@@ -67,6 +67,10 @@ pub struct SearchStats {
     /// Deterministic cost: advisory rank-block prefetch hints issued
     /// for in-range LF targets ahead of backward extensions.
     pub prefetch_issued: u64,
+    /// One-row nodes of the bidirectional search resolved by locating
+    /// the row and checking the rest of the read against the packed
+    /// text instead of walking it.
+    pub verified: u64,
 }
 
 impl SearchStats {
@@ -95,6 +99,7 @@ impl SearchStats {
             mtree_nodes_reused,
             occ_pair_fused,
             prefetch_issued,
+            verified,
         } = *other;
         self.leaves += leaves;
         self.nodes_visited += nodes_visited;
@@ -115,11 +120,12 @@ impl SearchStats {
         self.mtree_nodes_reused += mtree_nodes_reused;
         self.occ_pair_fused += occ_pair_fused;
         self.prefetch_issued += prefetch_issued;
+        self.verified += verified;
     }
 
     /// Every field as a `(canonical_name, value)` pair, in declaration
     /// order. The names are the stable keys used by the JSON emitters.
-    pub fn as_pairs(&self) -> [(&'static str, u64); 19] {
+    pub fn as_pairs(&self) -> [(&'static str, u64); 20] {
         let SearchStats {
             leaves,
             nodes_visited,
@@ -140,6 +146,7 @@ impl SearchStats {
             mtree_nodes_reused,
             occ_pair_fused,
             prefetch_issued,
+            verified,
         } = *self;
         [
             ("leaves", leaves),
@@ -161,6 +168,7 @@ impl SearchStats {
             ("mtree_nodes_reused", mtree_nodes_reused),
             ("occ_pair_fused", occ_pair_fused),
             ("prefetch_issued", prefetch_issued),
+            ("verified", verified),
         ]
     }
 
@@ -186,6 +194,7 @@ impl SearchStats {
             mtree_nodes_reused,
             occ_pair_fused,
             prefetch_issued,
+            verified,
         } = *self;
         recorder.add(Counter::Leaves, leaves);
         recorder.add(Counter::NodesVisited, nodes_visited);
@@ -206,6 +215,7 @@ impl SearchStats {
         recorder.add(Counter::MtreeNodesReused, mtree_nodes_reused);
         recorder.add(Counter::OccPairFused, occ_pair_fused);
         recorder.add(Counter::PrefetchIssued, prefetch_issued);
+        recorder.add(Counter::Verified, verified);
     }
 
     /// Fraction of extension work answered by reuse instead of live
@@ -243,13 +253,14 @@ impl std::fmt::Display for SearchStats {
             mtree_nodes_reused,
             occ_pair_fused,
             prefetch_issued,
+            verified,
         } = *self;
         write!(
             f,
             "n'(leaves)={} visited={} materialized={} rank_ext={} reuse={} merges={} \
              resumes={} occ={} phi_prunes={} timeouts={} occ_fused={} alloc_reused={} \
              rank_blocks={} rank_bytes={} rarray_probes={} mtree_built={} mtree_reused={} \
-             occ_pair_fused={} prefetch={} reuse_ratio={:.3}",
+             occ_pair_fused={} prefetch={} verified={} reuse_ratio={:.3}",
             leaves,
             nodes_visited,
             nodes_materialized,
@@ -269,6 +280,7 @@ impl std::fmt::Display for SearchStats {
             mtree_nodes_reused,
             occ_pair_fused,
             prefetch_issued,
+            verified,
             self.reuse_ratio(),
         )
     }
@@ -318,6 +330,7 @@ mod tests {
             "mtree_reused=",
             "occ_pair_fused=",
             "prefetch=",
+            "verified=",
             "reuse_ratio=",
         ] {
             assert!(s.contains(field), "missing {field} in {s}");
@@ -346,16 +359,14 @@ mod tests {
             mtree_nodes_reused: 17,
             occ_pair_fused: 18,
             prefetch_issued: 19,
+            verified: 20,
         };
         let pairs = stats.as_pairs();
         let values: Vec<u64> = pairs.iter().map(|&(_, v)| v).collect();
-        assert_eq!(
-            values,
-            vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19]
-        );
+        assert_eq!(values, (1..=20).collect::<Vec<u64>>());
         let mut names: Vec<&str> = pairs.iter().map(|&(n, _)| n).collect();
         names.dedup();
-        assert_eq!(names.len(), 19, "duplicate field names in as_pairs");
+        assert_eq!(names.len(), 20, "duplicate field names in as_pairs");
     }
 
     #[test]

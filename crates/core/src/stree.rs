@@ -29,6 +29,8 @@ pub(crate) fn rev_pos_to_forward(text_len: usize, p: usize, m: usize) -> usize {
 }
 
 /// Collect the occurrences represented by a completed search interval.
+/// Each row costs a locate, so a wide interval polls `gate` per row and
+/// stops once it trips.
 pub(crate) fn report_interval(
     fm: &FmIndex,
     text_len: usize,
@@ -36,8 +38,12 @@ pub(crate) fn report_interval(
     m: usize,
     mismatches: usize,
     out: &mut Vec<Occurrence>,
+    gate: &Gate<'_>,
 ) {
     for row in iv.rows() {
+        if gate.should_stop() {
+            return;
+        }
         let p = fm.sa_value(row) as usize;
         out.push(Occurrence {
             position: rev_pos_to_forward(text_len, p, m),
@@ -161,6 +167,7 @@ impl<'a> STreeSearch<'a> {
                         m,
                         mism,
                         out,
+                        gate,
                     );
                     return;
                 }
@@ -210,7 +217,7 @@ impl<'a> STreeSearch<'a> {
             stats.leaves += 1;
             recorder.observe(Hist::IntervalWidth, iv.len() as u64);
             recorder.observe(Hist::TerminationDepth, m as u64);
-            report_interval(self.fm, self.text_len, iv, m, mism, out);
+            report_interval(self.fm, self.text_len, iv, m, mism, out, gate);
             return;
         }
         // The heuristic of [34]: every absent substring of r[j..] forces a

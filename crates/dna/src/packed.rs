@@ -25,19 +25,17 @@ impl PackedSeq {
     /// # Panics
     /// Panics if any code is `0` (sentinel) or `>= SIGMA`.
     pub fn from_codes(codes: &[u8]) -> Self {
-        let mut data = vec![0u8; codes.len().div_ceil(4)];
-        for (i, &c) in codes.iter().enumerate() {
-            assert!(
-                c >= 1 && (c as usize) < SIGMA,
-                "PackedSeq holds bases 1..=4 only, got {c} at {i}"
-            );
-            let two = c - 1;
-            data[i / 4] |= two << ((i % 4) * 2);
-        }
-        PackedSeq {
-            data,
-            len: codes.len(),
-        }
+        codes.iter().copied().collect()
+    }
+
+    /// Adopt bytes already packed in the [`Self::raw`] layout (base `i`
+    /// in bits `2·(i % 4)..` of byte `i / 4`, as code `0..=3`).
+    ///
+    /// # Panics
+    /// Panics unless `data` holds exactly `ceil(len / 4)` bytes.
+    pub fn from_raw(data: Vec<u8>, len: usize) -> Self {
+        assert_eq!(data.len(), len.div_ceil(4), "packed length mismatch");
+        PackedSeq { data, len }
     }
 
     /// Number of bases stored.
@@ -93,6 +91,30 @@ impl PackedSeq {
     }
 }
 
+impl FromIterator<u8> for PackedSeq {
+    /// Pack base codes (`1..=4`, no sentinel) in iteration order.
+    ///
+    /// # Panics
+    /// Panics if any code is `0` (sentinel) or `>= SIGMA`.
+    fn from_iter<I: IntoIterator<Item = u8>>(codes: I) -> Self {
+        let codes = codes.into_iter();
+        let mut data = Vec::with_capacity(codes.size_hint().0.div_ceil(4));
+        let mut len = 0;
+        for c in codes {
+            assert!(
+                c >= 1 && (c as usize) < SIGMA,
+                "PackedSeq holds bases 1..=4 only, got {c} at {len}"
+            );
+            if len % 4 == 0 {
+                data.push(0);
+            }
+            data[len / 4] |= (c - 1) << ((len % 4) * 2);
+            len += 1;
+        }
+        PackedSeq { data, len }
+    }
+}
+
 /// Fraction of `g`/`c` bases in an encoded, sentinel-free sequence.
 /// Returns 0.0 for an empty sequence.
 pub fn gc_content(codes: &[u8]) -> f64 {
@@ -127,6 +149,18 @@ mod tests {
         let p = PackedSeq::from_codes(&codes);
         assert_eq!(p.len(), codes.len());
         assert_eq!(p.to_codes(), codes);
+    }
+
+    #[test]
+    fn collected_and_raw_packings_agree() {
+        let codes = encode(b"gattacagattac").unwrap();
+        let p = PackedSeq::from_codes(&codes);
+        let rev: PackedSeq = codes.iter().rev().copied().collect();
+        assert_eq!(rev.len(), codes.len());
+        for i in 0..codes.len() {
+            assert_eq!(rev.get(i), codes[codes.len() - 1 - i]);
+        }
+        assert_eq!(PackedSeq::from_raw(p.raw().to_vec(), p.len()), p);
     }
 
     #[test]

@@ -31,6 +31,9 @@ pub const EXPLAIN_SCHEMA: &str = "kmm-explain/v1";
 pub struct DepthRow {
     /// Nodes expanded at this depth.
     pub expanded: u64,
+    /// Of the nodes expanded at this depth, those verified against the
+    /// text instead of branching (they have no children one deeper).
+    pub verified: u64,
     /// Branches abandoned toward this depth, indexed by
     /// [`PruneCause::index`].
     pub pruned: [u64; PruneCause::COUNT],
@@ -96,6 +99,10 @@ impl Recorder for ExplainRecorder {
 
     fn depth_prune(&self, depth: usize, cause: PruneCause) {
         self.with_row(depth, |row| row.pruned[cause.index()] += 1);
+    }
+
+    fn depth_verify(&self, depth: usize) {
+        self.with_row(depth, |row| row.verified += 1);
     }
 }
 
@@ -255,6 +262,7 @@ impl ExplainReport {
                         let mut fields = vec![
                             ("depth".to_string(), Json::UInt(d as u64)),
                             ("expanded".to_string(), Json::UInt(row.expanded)),
+                            ("verified".to_string(), Json::UInt(row.verified)),
                         ];
                         for cause in PruneCause::ALL {
                             fields.push((
@@ -356,7 +364,7 @@ impl ExplainReport {
                 }
                 let bar_len = ((row.expanded * 32).div_ceil(peak)) as usize;
                 out.push_str(&format!(
-                    "  d{:02}  {:<32}  {:>8} | {}/{}/{}\n",
+                    "  d{:02}  {:<32}  {:>8} | {}/{}/{}",
                     d,
                     "#".repeat(bar_len.min(32)),
                     row.expanded,
@@ -364,6 +372,10 @@ impl ExplainReport {
                     row.pruned[PruneCause::Budget.index()],
                     row.pruned[PruneCause::Cutoff.index()],
                 ));
+                if row.verified > 0 {
+                    out.push_str(&format!(" ({} verified)", row.verified));
+                }
+                out.push('\n');
             }
         }
         match self.verdict() {
@@ -421,10 +433,12 @@ mod tests {
             depths: vec![
                 DepthRow {
                     expanded: 1,
+                    verified: 0,
                     pruned: [0, 0, 0],
                 },
                 DepthRow {
                     expanded: nodes.saturating_sub(1),
+                    verified: 0,
                     pruned: [2, 1, 0],
                 },
             ],
@@ -443,8 +457,10 @@ mod tests {
         rec.depth_prune(1, PruneCause::Budget);
         rec.depth_prune(2, PruneCause::EmptyInterval);
         rec.depth_prune(2, PruneCause::Cutoff);
+        rec.depth_verify(2);
         let rows = rec.take();
         assert_eq!(rows.len(), 3);
+        assert_eq!(rows[2].verified, 1);
         assert_eq!(rows[0].expanded, 1);
         assert_eq!(rows[1].pruned[PruneCause::Budget.index()], 1);
         assert_eq!(rows[2].expanded, 2);

@@ -47,6 +47,10 @@ pub enum Phase {
     IndexSampledSa,
     /// Deserialising a prebuilt index from disk.
     IndexLoad,
+    /// Building what a search method needs beyond the loaded index (the
+    /// packed text and mirror for Bidir, the text or suffix tree for
+    /// the baselines) before the first query.
+    IndexPrepare,
     /// Building the pattern's R-arrays (mismatch tables), including
     /// the R1/R2 merge steps of Algorithm A's preprocessing.
     PreprocessRarray,
@@ -64,13 +68,14 @@ pub enum Phase {
 }
 
 impl Phase {
-    pub const COUNT: usize = 10;
+    pub const COUNT: usize = 11;
     pub const ALL: [Phase; Phase::COUNT] = [
         Phase::IndexSa,
         Phase::IndexBwt,
         Phase::IndexRankall,
         Phase::IndexSampledSa,
         Phase::IndexLoad,
+        Phase::IndexPrepare,
         Phase::PreprocessRarray,
         Phase::PreprocessPhi,
         Phase::SearchQuery,
@@ -85,6 +90,7 @@ impl Phase {
             Phase::IndexRankall => "index.rankall",
             Phase::IndexSampledSa => "index.sampled_sa",
             Phase::IndexLoad => "index.load",
+            Phase::IndexPrepare => "index.prepare",
             Phase::PreprocessRarray => "preprocess.rarray",
             Phase::PreprocessPhi => "preprocess.phi",
             Phase::SearchQuery => "search.query",
@@ -99,7 +105,8 @@ impl Phase {
             | Phase::IndexBwt
             | Phase::IndexRankall
             | Phase::IndexSampledSa
-            | Phase::IndexLoad => Stage::Index,
+            | Phase::IndexLoad
+            | Phase::IndexPrepare => Stage::Index,
             Phase::PreprocessRarray | Phase::PreprocessPhi => Stage::Preprocess,
             Phase::SearchQuery | Phase::SearchDescend | Phase::SearchRead => Stage::Search,
         }
@@ -224,6 +231,10 @@ pub enum Counter {
     /// Deterministic cost: advisory rank-block prefetch hints issued
     /// ahead of backward extensions (LF-target warming).
     PrefetchIssued,
+    /// One-row Bidir nodes resolved by locating the row once and
+    /// checking the rest of the read against the packed text, instead
+    /// of walking it one rank step per symbol.
+    Verified,
     /// Connections accepted by `kmm serve` (the open-connection gauge is
     /// `conns_opened - conns_closed`).
     ServeConnsOpened,
@@ -241,7 +252,7 @@ pub enum Counter {
 }
 
 impl Counter {
-    pub const COUNT: usize = 38;
+    pub const COUNT: usize = 39;
     pub const ALL: [Counter; Counter::COUNT] = [
         Counter::Queries,
         Counter::Leaves,
@@ -275,6 +286,7 @@ impl Counter {
         Counter::IndexLoadMode,
         Counter::OccPairFused,
         Counter::PrefetchIssued,
+        Counter::Verified,
         Counter::ServeConnsOpened,
         Counter::ServeConnsClosed,
         Counter::ServeKeepaliveReuses,
@@ -317,6 +329,7 @@ impl Counter {
             Counter::IndexLoadMode => "index.load.mode",
             Counter::OccPairFused => "search.occ_pair_fused",
             Counter::PrefetchIssued => "search.prefetch_issued",
+            Counter::Verified => "search.verified",
             Counter::ServeConnsOpened => "serve.conns_opened",
             Counter::ServeConnsClosed => "serve.conns_closed",
             Counter::ServeKeepaliveReuses => "serve.keepalive_reuses",
@@ -496,6 +509,11 @@ pub trait Recorder {
     /// expanding its subtree.
     #[inline]
     fn depth_prune(&self, _depth: usize, _cause: PruneCause) {}
+
+    /// A node at `depth` was verified against the text instead of
+    /// expanded into children (it still counts as expanded).
+    #[inline]
+    fn depth_verify(&self, _depth: usize) {}
 
     /// Open a scoped timer for `phase`; time is credited when the
     /// returned guard drops.

@@ -88,9 +88,12 @@ import json
 doc = json.load(open('$tmp/explain.json'))
 assert doc['schema'] == 'kmm-explain/v1', doc['schema']
 assert doc['verdict'] and doc['verdict']['winner'], doc.get('verdict')
-assert all(m['work_units'] > 0 for m in doc['methods']), doc['methods']
-# Uninstrumented text scanners (Amir) report no depth rows; the
-# tree-walkers must, and their rows must sum to real expansions.
+# The text scanner (Amir) is uninstrumented: no work units (its text
+# is built before the query's cost counters start) and no depth rows.
+# The other methods report work; the tree-walkers report depth rows
+# that sum to real expansions.
+for m in doc['methods']:
+    assert (m['work_units'] > 0) == (m['method'] != \"Amir's\"), m['method']
 profiled = [m for m in doc['methods'] if m['depths']]
 assert profiled, 'no method produced a depth profile'
 for m in profiled:
@@ -600,5 +603,28 @@ fi
 grep -q "REGRESSION" "$tmp/diff-pigeon.txt"
 grep "nodes_visited" "$tmp/diff-pigeon.txt" | grep -q "REGRESSION"
 grep -q "offending counters:" "$tmp/diff-pigeon.txt"
+
+echo "== bidir in-text verification: kmm map at k=5 matches bwt byte for byte =="
+# 100 bp reads at k=5 leave most Bidir searches on one row with many
+# steps to go, where the walk locates the row and verifies the rest of
+# the read against the packed text; the S-tree baseline walks every
+# step. Both must map every read identically, also on the scalar rank
+# kernel and across four workers.
+"$kmm" simulate --reference "$tmp/ref.fa" --reads 200 --len 100 --seed 5 \
+    -o "$tmp/reads100.fq"
+map5() {
+    "$kmm" map --index "$tmp/ref-bd.idx" --reads "$tmp/reads100.fq" -k 5 \
+        --both-strands true "$@"
+}
+map5 --method bwt > "$tmp/map5-bwt.tsv" 2>/dev/null
+map5 --method bidir --stats > "$tmp/map5-bidir.tsv" 2> "$tmp/map5-bidir.txt"
+grep -Eq "search.verified +[1-9]" "$tmp/map5-bidir.txt"
+grep -q "index.prepare" "$tmp/map5-bidir.txt"
+KMM_NO_SIMD=1 map5 --method bidir > "$tmp/map5-bidir-nosimd.tsv" 2>/dev/null
+map5 --method bidir --threads 4 > "$tmp/map5-bidir-mt.tsv" 2>/dev/null
+test "$(wc -l < "$tmp/map5-bwt.tsv")" -gt 1
+for f in bidir bidir-nosimd bidir-mt; do
+    cmp "$tmp/map5-bwt.tsv" "$tmp/map5-$f.tsv"
+done
 
 echo "verify: OK"

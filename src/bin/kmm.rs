@@ -10,6 +10,7 @@
 //! kmm bench diff BENCH_a.json BENCH_b.json [--fail-on-regress 15]
 //! ```
 
+use std::io::{BufWriter, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -452,18 +453,19 @@ fn run() -> Result<String, CliError> {
                 .map(|v| v == "true")
                 .unwrap_or(false);
             let stats = stats_options(&args)?;
-            let mut stdout = std::io::stdout().lock();
-            cli::map_reads(
-                &PathBuf::from(args.require("index")?),
-                &PathBuf::from(args.require("reads")?),
-                args.parsed("k", 5usize)?,
-                method,
-                both,
-                args.threads()?,
-                timeout(&args)?,
-                &stats,
-                &mut stdout,
-            )
+            to_stdout(|out| {
+                cli::map_reads(
+                    &PathBuf::from(args.require("index")?),
+                    &PathBuf::from(args.require("reads")?),
+                    args.parsed("k", 5usize)?,
+                    method,
+                    both,
+                    args.threads()?,
+                    timeout(&args)?,
+                    &stats,
+                    out,
+                )
+            })
         }
         "search" => {
             let args = Args::parse(rest, SEARCH_FLAGS)?;
@@ -473,17 +475,18 @@ fn run() -> Result<String, CliError> {
             if patterns.is_empty() {
                 return Err(CliError("missing required flag --pattern".to_string()));
             }
-            let mut stdout = std::io::stdout().lock();
-            cli::search_patterns(
-                &PathBuf::from(args.require("index")?),
-                &patterns,
-                args.parsed("k", 3usize)?,
-                method,
-                args.threads()?,
-                timeout(&args)?,
-                &stats,
-                &mut stdout,
-            )
+            to_stdout(|out| {
+                cli::search_patterns(
+                    &PathBuf::from(args.require("index")?),
+                    &patterns,
+                    args.parsed("k", 3usize)?,
+                    method,
+                    args.threads()?,
+                    timeout(&args)?,
+                    &stats,
+                    out,
+                )
+            })
         }
         "explain" => {
             let args = Args::parse(rest, EXPLAIN_FLAGS)?;
@@ -499,15 +502,16 @@ fn run() -> Result<String, CliError> {
                 .iter()
                 .map(|n| cli::parse_method(n))
                 .collect::<Result<Vec<_>, _>>()?;
-            let mut stdout = std::io::stdout().lock();
-            cli::explain_query(
-                &PathBuf::from(args.require("index")?),
-                args.require("pattern")?,
-                args.parsed("k", 3usize)?,
-                &methods,
-                args.get("json").is_some(),
-                &mut stdout,
-            )
+            to_stdout(|out| {
+                cli::explain_query(
+                    &PathBuf::from(args.require("index")?),
+                    args.require("pattern")?,
+                    args.parsed("k", 3usize)?,
+                    &methods,
+                    args.get("json").is_some(),
+                    out,
+                )
+            })
         }
         "serve" => {
             let args = Args::parse(rest, SERVE_FLAGS)?;
@@ -548,6 +552,17 @@ fn run() -> Result<String, CliError> {
         "help" | "--help" | "-h" => Ok(USAGE.to_string()),
         other => Err(CliError(format!("unknown command '{other}'\n\n{USAGE}"))),
     }
+}
+
+/// Run a command that writes its results to stdout through a buffer,
+/// flushed before the summary goes to stderr.
+fn to_stdout(
+    command: impl FnOnce(&mut dyn Write) -> Result<String, CliError>,
+) -> Result<String, CliError> {
+    let mut out = BufWriter::new(std::io::stdout().lock());
+    let summary = command(&mut out)?;
+    out.flush()?;
+    Ok(summary)
 }
 
 fn main() -> ExitCode {

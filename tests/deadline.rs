@@ -46,7 +46,7 @@ fn generous_deadline_is_bit_identical_to_no_deadline() {
     for method in METHODS {
         // Lazy structures are built first, so neither run is billed for
         // them and the work counters compare exactly.
-        idx.prepare(method);
+        idx.prepare(method, &ThreadPool::serial(), &NoopRecorder);
         for k in [0usize, 1, 3] {
             let plain = idx.search_with(&pattern, k, method, None, &NoopRecorder);
             let token = CancelToken::with_deadline(Duration::from_secs(3600));

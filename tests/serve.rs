@@ -629,6 +629,78 @@ fn serve_run_with_mmap_reports_load_mode_and_answers_match() {
     handle.join().unwrap().unwrap();
 }
 
+/// `kmm serve` over a `--bidir` index builds what Bidir needs before it
+/// binds: `/metrics` shows one `index.prepare` entry before any request,
+/// and the first Bidir `/search` neither adds one nor carries it in its
+/// trace.
+#[test]
+fn serve_run_prepares_bidir_before_the_first_request() {
+    event_log_path();
+    let idx = test_index();
+    let dir = std::env::temp_dir().join(format!("kmm-serve-prepare-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let idx_path = dir.join("serve-bd.idx");
+    let mut w = std::io::BufWriter::new(std::fs::File::create(&idx_path).unwrap());
+    idx.fm().save_with_mirror(idx.mirror(), &mut w).unwrap();
+    drop(w);
+    let port_file = dir.join("serve.port");
+    let _ = std::fs::remove_file(&port_file);
+    let config = ServeConfig {
+        prefer_mmap: true,
+        threads: 2,
+        port_file: Some(port_file.clone()),
+        ..ServeConfig::default()
+    };
+    let handle = {
+        let idx_path = idx_path.clone();
+        std::thread::spawn(move || bwt_kmismatch::serve::run(&idx_path, config))
+    };
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    let port: u16 = loop {
+        if let Ok(text) = std::fs::read_to_string(&port_file) {
+            if let Ok(port) = text.trim().parse() {
+                break port;
+            }
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "port file never appeared"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let addr: SocketAddr = format!("127.0.0.1:{port}").parse().unwrap();
+    let prepare_entries = || {
+        let (status, metrics) = get(addr, "/metrics");
+        assert_eq!(status, 200);
+        metrics
+            .lines()
+            .find_map(|l| l.strip_prefix("kmm_phase_entries_total{phase=\"index.prepare\"} "))
+            .map(|v| v.trim().to_string())
+    };
+    assert_eq!(prepare_entries().as_deref(), Some("1"));
+
+    let pattern = probe(&idx, 900);
+    let body = format!("{{\"pattern\": \"{pattern}\", \"k\": 3, \"method\": \"bidir\"}}");
+    let (status, response) = post(addr, "/search", &body);
+    assert_eq!(status, 200, "{response}");
+    let doc = Json::parse(&response).unwrap();
+    let encoded = bwt_kmismatch::dna::encode(pattern.as_bytes()).unwrap();
+    let want = idx.search(&encoded, 3, Method::Bidirectional);
+    assert_eq!(
+        doc.get("count").and_then(Json::as_u64),
+        Some(want.occurrences.len() as u64)
+    );
+    assert_eq!(prepare_entries().as_deref(), Some("1"));
+    let (status, trace) = get(addr, "/trace.json");
+    assert_eq!(status, 200);
+    assert!(trace.contains("\"search.query\""), "{trace}");
+    assert!(!trace.contains("index.prepare"), "{trace}");
+
+    post(addr, "/shutdown", "");
+    handle.join().unwrap().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Read exactly one `Content-Length`-framed response off a keep-alive
 /// stream (the `http` helper reads to EOF, which keep-alive never hits).
 /// `carry` holds bytes past the end of this response — the server may
