@@ -14,6 +14,7 @@
 //!   parscale  batch-search throughput vs worker count (thread scaling)
 //!   occbench  fused occ_all vs 4x extend_backward node expansion,
 //!             plus the SIMD-vs-scalar occ kernel sweep across rates
+//!             and ns per one-row rank step on each popcount path
 //!   coldstart index open time, read vs mmap -> BENCH_coldstart.json
 //!   baseline  fixed regression-gate workload -> BENCH_baseline.json
 //!   bidir     bidirectional scheme search vs A(.) and plain backward
@@ -44,9 +45,10 @@ use std::path::PathBuf;
 
 use kmm_bench::{
     fmt_secs, format_table, run_baseline, run_bidir, run_coldstart, run_explain, run_method,
-    run_occbench, run_occbench_kernels, run_servesoak, simulate_reads, write_baseline_json,
-    write_bench_json, write_bidir_json, write_coldstart_json, write_explain_json,
-    write_par_scaling_json, write_serve_json, BenchRecord, ParScalingRecord, Workload,
+    run_occbench, run_occbench_kernels, run_occbench_symbol_rank, run_servesoak, simulate_reads,
+    write_baseline_json, write_bench_json, write_bidir_json, write_coldstart_json,
+    write_explain_json, write_par_scaling_json, write_serve_json, BenchRecord, ParScalingRecord,
+    Workload,
 };
 use kmm_bwt::FmBuildConfig;
 use kmm_core::{KMismatchIndex, Method};
@@ -517,11 +519,30 @@ fn occbench(opts: &Opts) -> Vec<BenchRecord> {
         "{}",
         format_table(&["mode", "rate", "time", "fused sweeps"], &rows)
     );
+    println!("\n== one-row rank: ns per symbol_rank call, per popcount path  (rate 64) ==\n");
+    let ranks = run_occbench_symbol_rank(&genome, 1 << 20, 3);
+    let rows: Vec<Vec<String>> = ranks
+        .records
+        .iter()
+        .map(|r| {
+            vec![
+                r.method.to_string(),
+                r.occurrences.to_string(),
+                fmt_secs(r.seconds),
+                format!("{:.1}", r.seconds * 1e9 / r.occurrences as f64),
+            ]
+        })
+        .collect();
     println!(
-        "dispatched kernel: {}; speedup at rate 1024: {:.2}x",
-        kernels.kernel, kernels.speedup
+        "{}",
+        format_table(&["mode", "calls", "time", "ns/call"], &rows)
+    );
+    println!(
+        "dispatched kernel: {}; popcount: {}; speedup at rate 1024: {:.2}x",
+        kernels.kernel, ranks.popcount, kernels.speedup
     );
     records.extend(kernels.records);
+    records.extend(ranks.records);
     records
 }
 

@@ -268,6 +268,21 @@ pub fn occbench_intervals(fm: &FmIndex, count: usize, seed: u64) -> Vec<Interval
     out
 }
 
+/// The occ microbenchmarks' index: the reversed genome at checkpoint
+/// rate `occ_rate`.
+fn occbench_index(genome: &[u8], occ_rate: usize) -> FmIndex {
+    let mut rev = genome.to_vec();
+    rev.reverse();
+    rev.push(0);
+    FmIndex::new(
+        &rev,
+        FmBuildConfig {
+            occ_rate,
+            ..FmBuildConfig::default()
+        },
+    )
+}
+
 /// Outcome of the occ microbenchmark: one record per mode plus the
 /// headline ratio.
 #[derive(Debug, Clone)]
@@ -284,12 +299,7 @@ pub struct OccBenchOutcome {
 /// Both modes visit identical intervals and their interval checksums are
 /// asserted equal, so the comparison cannot silently diverge.
 pub fn run_occbench(genome: &[u8], expansions: usize, reps: usize) -> OccBenchOutcome {
-    let fm = {
-        let mut rev = genome.to_vec();
-        rev.reverse();
-        rev.push(0);
-        FmIndex::new(&rev, FmBuildConfig::default())
-    };
+    let fm = occbench_index(genome, FmBuildConfig::default().occ_rate);
     let intervals = occbench_intervals(&fm, expansions, 0x0cc5eed);
 
     let checksum_occ = |ivs: &[Interval]| -> u64 {
@@ -409,18 +419,7 @@ pub fn run_occbench_kernels(
     let mut records = Vec::new();
     let mut speedup = 0.0;
     for &rate in rates {
-        let fm = {
-            let mut rev = genome.to_vec();
-            rev.reverse();
-            rev.push(0);
-            FmIndex::new(
-                &rev,
-                FmBuildConfig {
-                    occ_rate: rate,
-                    ..FmBuildConfig::default()
-                },
-            )
-        };
+        let fm = occbench_index(genome, rate);
         let intervals = occbench_intervals(&fm, expansions, 0x0cc5eed);
         let checksum = |ivs: &[Interval]| -> u64 {
             let mut sum = 0u64;
@@ -484,6 +483,97 @@ pub fn run_occbench_kernels(
         records,
         speedup,
         kernel: kmm_bwt::active_kernel(),
+    }
+}
+
+/// Outcome of the one-row rank microbenchmark.
+#[derive(Debug, Clone)]
+pub struct SymbolRankOutcome {
+    /// `symbol_rank_{chain,random}@{portable,dispatched}` records:
+    /// `seconds` spent on `occurrences` calls.
+    pub records: Vec<BenchRecord>,
+    /// The popcount path the dispatcher picks when nothing is forced
+    /// (`"popcnt"` or `"portable"`).
+    pub popcount: &'static str,
+}
+
+/// Time [`FmIndex::lf_step`] — one `RankAll::symbol_rank` call plus an
+/// add — at the default checkpoint rate, `calls` calls per pass, `reps`
+/// passes:
+/// - `chain`: a sequential LF chain, each row the previous call's
+///   answer. This is the text rebuild's and locate's pattern, bound by
+///   the latency of one step.
+/// - `random`: independent random rows, bound by throughput and cache.
+///
+/// Each runs once with the portable popcount forced and once on the
+/// dispatched path; both must checksum alike.
+pub fn run_occbench_symbol_rank(genome: &[u8], calls: usize, reps: usize) -> SymbolRankOutcome {
+    let fm = occbench_index(genome, FmBuildConfig::default().occ_rate);
+    let chain = || -> u64 {
+        let (mut row, mut sum) = (0u32, 0u64);
+        for _ in 0..calls {
+            // The row of suffix 0 ends the chain; start it again.
+            row = fm.lf_step(row).map_or(0, |(_, next)| next);
+            sum = sum.wrapping_add(row as u64);
+        }
+        sum
+    };
+    let mut state = 0x5e1f_u64;
+    let rows: Vec<u32> = (0..calls)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) % fm.len() as u64) as u32
+        })
+        .collect();
+    let random = || -> u64 {
+        rows.iter().fold(0u64, |sum, &row| {
+            sum.wrapping_add(fm.lf_step(row).map_or(0, |(_, next)| next as u64))
+        })
+    };
+    let walks: [(&dyn Fn() -> u64, [&'static str; 2]); 2] = [
+        (
+            &chain,
+            ["symbol_rank_chain@portable", "symbol_rank_chain@dispatched"],
+        ),
+        (
+            &random,
+            [
+                "symbol_rank_random@portable",
+                "symbol_rank_random@dispatched",
+            ],
+        ),
+    ];
+    let mut records = Vec::new();
+    for (walk, labels) in walks {
+        kmm_bwt::force_scalar(true);
+        let expect = walk();
+        kmm_bwt::force_scalar(false);
+        assert_eq!(expect, walk(), "popcount paths diverged ({})", labels[0]);
+        for (portable, method) in [true, false].into_iter().zip(labels) {
+            kmm_bwt::force_scalar(portable);
+            let start = Instant::now();
+            for _ in 0..reps {
+                assert_eq!(walk(), expect);
+            }
+            let seconds = start.elapsed().as_secs_f64();
+            kmm_bwt::force_scalar(false);
+            records.push(BenchRecord {
+                method,
+                n: genome.len(),
+                m: FmBuildConfig::default().occ_rate,
+                k: 0,
+                seconds,
+                occurrences: calls * reps,
+                stats: SearchStats::default(),
+                latency: LatencyNs::default(),
+            });
+        }
+    }
+    SymbolRankOutcome {
+        records,
+        popcount: kmm_bwt::active_popcount(),
     }
 }
 
@@ -1178,6 +1268,20 @@ mod tests {
         assert!(out.speedup > 0.0);
         // The bench must leave the dispatcher unforced for other tests.
         assert_eq!(kmm_bwt::active_kernel(), out.kernel);
+        // The one-row rank rows: both walks on both popcount paths.
+        let ranks = run_occbench_symbol_rank(&genome, 1000, 1);
+        let methods: Vec<_> = ranks.records.iter().map(|r| r.method).collect();
+        assert_eq!(
+            methods,
+            [
+                "symbol_rank_chain@portable",
+                "symbol_rank_chain@dispatched",
+                "symbol_rank_random@portable",
+                "symbol_rank_random@dispatched",
+            ]
+        );
+        assert!(ranks.records.iter().all(|r| r.occurrences == 1000));
+        assert_eq!(kmm_bwt::active_popcount(), ranks.popcount);
     }
 
     #[test]

@@ -28,8 +28,9 @@ use crate::serialize::{SectionEntry, SectionPayload, SectionTable, SerializeErro
 /// Build-time knobs for the index.
 #[derive(Debug, Clone, Copy)]
 pub struct FmBuildConfig {
-    /// Rankall checkpoint rate (positions between checkpoint rows; multiple
-    /// of 4). The paper's layout is 4; 64 is a good default on modern CPUs.
+    /// Rankall checkpoint rate (positions between checkpoint rows; a power
+    /// of two, at least 4). The paper's layout is 4; 64 is a good default
+    /// on modern CPUs.
     pub occ_rate: usize,
     /// Suffix-array sampling rate for `locate` (1 = store the full SA).
     pub sa_rate: usize,

@@ -29,7 +29,7 @@ pub use sampled_sa::{BitRank, SampledSuffixArray};
 pub use serialize::{
     SectionEntry, SectionPayload, SectionTable, SerReader, SerWriter, SerializeError,
 };
-pub use simd::{active_kernel, force_scalar};
+pub use simd::{active_kernel, active_popcount, force_scalar, popcount};
 
 #[cfg(test)]
 mod proptests {

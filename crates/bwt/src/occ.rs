@@ -14,8 +14,11 @@
 //! single cache miss — instead of a checkpoint row and a packed word in
 //! two unrelated arrays. The tail scan is branch-free XOR/popcount word
 //! counting, answering `occ(c, i) = |{ j < i : L[j] = c }|` in
-//! `O(block_span/32)` word steps, and [`RankAll::occ_all`] resolves all
+//! `O(block_span/64)` popcounts, and [`RankAll::occ_all`] resolves all
 //! four bases in one sweep of the same block.
+//!
+//! Checkpoint rates are powers of two, so a block spans a power of two
+//! of positions and position → (block, word, slot) is shifts and masks.
 
 use kmm_dna::{BASES, SENTINEL, SIGMA};
 use kmm_par::{aligned_spans, ThreadPool};
@@ -31,8 +34,21 @@ const SLOTS_PER_WORD: usize = 32;
 /// Words of checkpoint header per block: four `u32` counts in two words.
 const HEADER_WORDS: usize = 2;
 
-/// Least common multiple; block spans must sit on both the packed word
-/// grid and the checkpoint grid.
+/// Whether `rate` is a valid checkpoint rate: a power of two, at least 4.
+fn valid_rate(rate: usize) -> bool {
+    rate >= 4 && rate.is_power_of_two()
+}
+
+/// Block geometry of a valid `rate`: `log2` of the block span
+/// (`max(rate, 32)` positions, on both the packed word grid and the
+/// checkpoint grid) and the words per block.
+fn geometry(rate: usize) -> (u32, usize) {
+    debug_assert!(valid_rate(rate));
+    let span = rate.max(SLOTS_PER_WORD);
+    (span.trailing_zeros(), HEADER_WORDS + span / SLOTS_PER_WORD)
+}
+
+/// Least common multiple of two positive integers.
 pub(crate) fn lcm(a: usize, b: usize) -> usize {
     fn gcd(mut a: usize, mut b: usize) -> usize {
         while b != 0 {
@@ -67,10 +83,10 @@ pub struct RankAll {
     /// after a build, possibly borrowed from a mapped v3 index file.
     blocks: U64Store,
     /// Configured checkpoint rate (kept for the API and serialization;
-    /// the effective span is `lcm(rate, 32)`).
+    /// the effective span is `max(rate, 32)`).
     rate: usize,
-    /// Positions covered per block (`lcm(rate, SLOTS_PER_WORD)`).
-    block_span: usize,
+    /// `log2` of the positions covered per block (`max(rate, 32)`).
+    span_shift: u32,
     /// Words per block (`HEADER_WORDS + block_span / SLOTS_PER_WORD`).
     block_words: usize,
     /// Position of the unique sentinel in `L`.
@@ -90,7 +106,7 @@ pub struct RankAll {
 impl RankAll {
     /// Build over an `L` column containing exactly one sentinel.
     ///
-    /// `rate` must be a positive multiple of 4; the paper's layout
+    /// `rate` must be a power of two, at least 4; the paper's layout
     /// corresponds to `rate = 4`, the default index uses 64.
     pub fn new(l: &[u8], rate: usize) -> Self {
         Self::new_with(l, rate, &ThreadPool::serial())
@@ -119,13 +135,14 @@ impl RankAll {
     /// is bit-identical to the serial build at any thread count.
     pub fn try_new_with(l: &[u8], rate: usize, pool: &ThreadPool) -> Result<Self, TextTooLarge> {
         assert!(
-            rate >= 4 && rate.is_multiple_of(4),
-            "rate must be a positive multiple of 4"
+            valid_rate(rate),
+            "rate must be a power-of-two multiple of 4, got {rate}"
         );
         check_text_len(l.len())?;
+        simd::init();
         let n = l.len();
-        let block_span = lcm(rate, SLOTS_PER_WORD);
-        let block_words = HEADER_WORDS + block_span / SLOTS_PER_WORD;
+        let (span_shift, block_words) = geometry(rate);
+        let block_span = 1 << span_shift;
 
         // Pass 1 (parallel): pack and count whole blocks, headers relative
         // to the segment start. The sentinel packs as code 0 wherever it
@@ -140,8 +157,8 @@ impl RankAll {
             for (off, &c) in l[span.clone()].iter().enumerate() {
                 let i = span.start + off;
                 assert!((c as usize) < SIGMA, "symbol {c} out of alphabet");
-                let base = off / block_span * block_words;
-                if off.is_multiple_of(block_span) {
+                let base = (off >> span_shift) * block_words;
+                if off & (block_span - 1) == 0 {
                     blocks[base] = running[0] as u64 | (running[1] as u64) << 32;
                     blocks[base + 1] = running[2] as u64 | (running[3] as u64) << 32;
                 }
@@ -153,7 +170,7 @@ impl RankAll {
                     running[(c - 1) as usize] += 1;
                     (c - 1) as u64
                 };
-                let word = base + HEADER_WORDS + (off % block_span) / SLOTS_PER_WORD;
+                let word = base + HEADER_WORDS + (off & (block_span - 1)) / SLOTS_PER_WORD;
                 blocks[word] |= two << ((off % SLOTS_PER_WORD) * 2);
             }
             SegScan {
@@ -197,7 +214,7 @@ impl RankAll {
         Ok(RankAll {
             blocks: blocks.into(),
             rate,
-            block_span,
+            span_shift,
             block_words,
             dollar_pos,
             len: n,
@@ -223,11 +240,25 @@ impl RankAll {
         self.dollar_pos
     }
 
-    /// The four checkpoint counts of the block containing position `i`.
+    /// The block holding position `i` and `i`'s offset into it.
+    #[inline(always)]
+    fn split(&self, i: usize) -> (usize, usize) {
+        (i >> self.span_shift, i & ((1 << self.span_shift) - 1))
+    }
+
+    /// The four checkpoint counts of the block at word `base`.
     #[inline]
     fn header(&self, base: usize) -> [u32; 4] {
         let (w0, w1) = (self.blocks[base], self.blocks[base + 1]);
         [w0 as u32, (w0 >> 32) as u32, w1 as u32, (w1 >> 32) as u32]
+    }
+
+    /// The 2-bit code (base − 1) packed at position `i`.
+    #[inline(always)]
+    fn code_at(&self, blocks: &[u64], i: usize) -> u8 {
+        let (block, off) = self.split(i);
+        let word = block * self.block_words + HEADER_WORDS + off / SLOTS_PER_WORD;
+        ((blocks[word] >> ((i % SLOTS_PER_WORD) * 2)) & 0b11) as u8
     }
 
     /// The symbol `L[i]`.
@@ -237,11 +268,8 @@ impl RankAll {
         if i == self.dollar_pos {
             SENTINEL
         } else {
-            let word = i / self.block_span * self.block_words
-                + HEADER_WORDS
-                + (i % self.block_span) / SLOTS_PER_WORD;
             cost::bump2(CostKind::RankBlocks, 1, CostKind::RankBytes, 8);
-            ((self.blocks[word] >> ((i % SLOTS_PER_WORD) * 2)) & 0b11) as u8 + 1
+            self.code_at(&self.blocks, i) + 1
         }
     }
 
@@ -256,17 +284,16 @@ impl RankAll {
         if i == self.dollar_pos {
             return None;
         }
-        let off = i % self.block_span;
         // The scan reads every packed word up to and including slot i's.
         cost::bump2(
             CostKind::RankBlocks,
             1,
             CostKind::RankBytes,
-            Self::scan_bytes(off + 1),
+            Self::scan_bytes(self.split(i).1 + 1),
         );
-        let word = i / self.block_span * self.block_words + HEADER_WORDS + off / SLOTS_PER_WORD;
-        let sym = ((self.blocks[word] >> ((i % SLOTS_PER_WORD) * 2)) & 0b11) as u8 + 1;
-        Some((sym, self.block_counts_upto(i)[(sym - 1) as usize]))
+        let blocks: &[u64] = &self.blocks;
+        let code = self.code_at(blocks, i);
+        Some((code + 1, self.code_rank(blocks, i, code)))
     }
 
     /// Bytes of block data a rank at offset `off` into its block reads:
@@ -278,22 +305,40 @@ impl RankAll {
         (HEADER_WORDS * 8 + off.div_ceil(SLOTS_PER_WORD) * 8) as u64
     }
 
+    /// `occ(code + 1, i)` for `i < len`: checkpoint lane `code` of `i`'s
+    /// block plus the slots of `[block_start, i)` holding `code`, one
+    /// popcount per two packed words. Only code 0 can over-count: the
+    /// sentinel slot is packed as code 0, and is cancelled if scanned
+    /// (headers already exclude it).
+    #[inline]
+    fn code_rank(&self, blocks: &[u64], i: usize, code: u8) -> u32 {
+        let (block, off) = self.split(i);
+        let base = block * self.block_words;
+        let lane = (blocks[base + code as usize / 2] >> (32 * (code & 1))) as u32;
+        let payload = &blocks[base + HEADER_WORDS..base + self.block_words];
+        let n = lane + simd::count_code(payload, off, code);
+        if code == 0 && self.dollar_pos >= i - off && self.dollar_pos < i {
+            n - 1
+        } else {
+            n
+        }
+    }
+
     /// Tally of the block containing `i` up to `i` (exclusive): the
     /// block's checkpoint header plus the packed-word counts of
     /// `[block_start, i)` via the shared (dispatching) kernel, with the
     /// sentinel slot cancelled out of lane 0. `i` must be `< len`.
-    /// Both `occ` and `occ_all` — and the pair fusion — reduce to this.
+    /// `occ_all` and the pair fusion reduce to this.
     #[inline]
     fn block_counts_upto(&self, i: usize) -> [u32; 4] {
-        let block = i / self.block_span;
-        let start = block * self.block_span;
+        let (block, off) = self.split(i);
         let base = block * self.block_words;
         let mut counts = self.header(base);
         let payload = &self.blocks[base + HEADER_WORDS..base + self.block_words];
-        simd::count_all(payload, i - start, &mut counts);
+        simd::count_all(payload, off, &mut counts);
         // The sentinel slot was packed as base 0; cancel it if counted in
         // the scanned region (headers already exclude it).
-        if self.dollar_pos >= start && self.dollar_pos < i {
+        if self.dollar_pos >= i - off && self.dollar_pos < i {
             counts[0] -= 1;
         }
         counts
@@ -302,7 +347,8 @@ impl RankAll {
     /// Number of occurrences of base `c` (codes 1..=4) in `L[0..i)`.
     ///
     /// This is the paper's `A_c[i - 1]` (their arrays are 1-based). One
-    /// block visit: header counts and the packed tail share a block.
+    /// block visit: header counts and the packed tail share a block, and
+    /// only lane `c − 1` is counted.
     #[inline]
     pub fn occ(&self, c: u8, i: usize) -> u32 {
         debug_assert!(
@@ -317,9 +363,9 @@ impl RankAll {
             CostKind::RankBlocks,
             1,
             CostKind::RankBytes,
-            Self::scan_bytes(i % self.block_span),
+            Self::scan_bytes(self.split(i).1),
         );
-        self.block_counts_upto(i)[(c - 1) as usize]
+        self.code_rank(&self.blocks, i, c - 1)
     }
 
     /// Occurrence counts of all four bases in `L[0..i)` — the fused form
@@ -335,7 +381,7 @@ impl RankAll {
             CostKind::RankBlocks,
             1,
             CostKind::RankBytes,
-            Self::scan_bytes(i % self.block_span),
+            Self::scan_bytes(self.split(i).1),
         );
         self.block_counts_upto(i)
     }
@@ -352,14 +398,14 @@ impl RankAll {
             let c = self.occ_all(lo);
             return (c, c);
         }
-        if hi == self.len || lo / self.block_span != hi / self.block_span {
+        if hi == self.len || lo >> self.span_shift != hi >> self.span_shift {
             return (self.occ_all(lo), self.occ_all(hi));
         }
         cost::bump2(
             CostKind::RankBlocks,
             1,
             CostKind::RankBytes,
-            Self::scan_bytes(hi % self.block_span),
+            Self::scan_bytes(self.split(hi).1),
         );
         cost::bump(CostKind::OccPairFused, 1);
         (self.block_counts_upto(lo), self.block_counts_upto(hi))
@@ -376,7 +422,7 @@ impl RankAll {
     pub fn prefetch(&self, i: usize) {
         if i < self.len {
             cost::bump(CostKind::PrefetchIssued, 1);
-            let base = i / self.block_span * self.block_words;
+            let base = (i >> self.span_shift) * self.block_words;
             simd::prefetch_read(self.blocks[base..].as_ptr() as *const u8);
         }
     }
@@ -415,9 +461,9 @@ impl RankAll {
         self.rate
     }
 
-    /// Positions covered per interleaved block (`lcm(rate, 32)`).
+    /// Positions covered per interleaved block (`max(rate, 32)`).
     pub fn block_span(&self) -> usize {
-        self.block_span
+        1 << self.span_shift
     }
 
     /// The raw interleaved block words (for the v3 section writer).
@@ -443,21 +489,21 @@ impl RankAll {
         totals: [u32; SIGMA],
     ) -> Result<Self, crate::serialize::SerializeError> {
         use crate::serialize::SerializeError;
-        if rate < 4 || !rate.is_multiple_of(4) {
+        if !valid_rate(rate) {
             return Err(SerializeError::Malformed("rankall rate"));
         }
         if dollar_pos >= len {
             return Err(SerializeError::Malformed("sentinel position"));
         }
-        let block_span = lcm(rate, SLOTS_PER_WORD);
-        let block_words = HEADER_WORDS + block_span / SLOTS_PER_WORD;
-        if blocks.len() != len.div_ceil(block_span) * block_words {
+        let (span_shift, block_words) = geometry(rate);
+        if blocks.len() != len.div_ceil(1 << span_shift) * block_words {
             return Err(SerializeError::Malformed("block array length"));
         }
+        simd::init();
         Ok(RankAll {
             blocks,
             rate,
-            block_span,
+            span_shift,
             block_words,
             dollar_pos,
             len,
@@ -487,7 +533,7 @@ impl RankAll {
         let len = r.u64()? as usize;
         let rate = r.u64()? as usize;
         let dollar_pos = r.u64()? as usize;
-        if rate < 4 || !rate.is_multiple_of(4) {
+        if !valid_rate(rate) {
             return Err(SerializeError::Malformed("rankall rate"));
         }
         if dollar_pos >= len {
@@ -497,16 +543,16 @@ impl RankAll {
         for t in totals.iter_mut() {
             *t = r.u32()?;
         }
-        let block_span = lcm(rate, SLOTS_PER_WORD);
-        let block_words = HEADER_WORDS + block_span / SLOTS_PER_WORD;
+        let (span_shift, block_words) = geometry(rate);
         let blocks = r.vec_u64()?;
-        if blocks.len() != len.div_ceil(block_span) * block_words {
+        if blocks.len() != len.div_ceil(1 << span_shift) * block_words {
             return Err(SerializeError::Malformed("block array length"));
         }
+        simd::init();
         Ok(RankAll {
             blocks: blocks.into(),
             rate,
-            block_span,
+            span_shift,
             block_words,
             dollar_pos,
             len,
@@ -520,43 +566,79 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn naive_occ(l: &[u8], c: u8, i: usize) -> u32 {
-        l[..i].iter().filter(|&&x| x == c).count() as u32
+    /// `r` re-opened the way a mapped v3 index opens it: its block words
+    /// written to a file, mapped read-only and borrowed by
+    /// [`RankAll::from_store`].
+    fn reopen_mapped(r: &RankAll) -> RankAll {
+        use crate::mmap::{IndexBytes, MmapRegion};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        static FILES: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!("kmm-occ-tests-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("{}.bin", FILES.fetch_add(1, Ordering::Relaxed)));
+        let words = r.block_words_raw();
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        std::fs::write(&path, &bytes).unwrap();
+        let file = std::fs::File::open(&path).unwrap();
+        let image = match MmapRegion::map_file(&file) {
+            Ok(region) => IndexBytes::Mapped(region),
+            Err(_) => IndexBytes::from_bytes(&bytes),
+        };
+        std::fs::remove_file(&path).unwrap();
+        let store = U64Store::borrowed(Arc::new(image), 0, words.len())
+            .unwrap_or_else(|| U64Store::Owned(words.to_vec()));
+        RankAll::from_store(store, r.rate, r.dollar_pos, r.len, r.totals).unwrap()
     }
 
-    fn check_all(l: &[u8], rate: usize) {
-        let r = RankAll::new(l, rate);
+    /// Every rank query of `r` against naive counts over `l`.
+    fn check_rank(r: &RankAll, l: &[u8], what: &str) {
         assert_eq!(r.len(), l.len());
-        for i in 0..=l.len() {
-            let fused = r.occ_all(i);
+        // prefix[i][c] = occurrences of symbol c in l[..i].
+        let mut prefix = vec![[0u32; SIGMA]; l.len() + 1];
+        for (i, &c) in l.iter().enumerate() {
+            prefix[i + 1] = prefix[i];
+            prefix[i + 1][c as usize] += 1;
+        }
+        let bases = |i: usize| -> [u32; 4] { std::array::from_fn(|lane| prefix[i][lane + 1]) };
+        for (i, counts) in prefix.iter().enumerate() {
+            assert_eq!(r.occ_all(i), bases(i), "occ_all({i}) {what}");
             for c in 1..SIGMA as u8 {
-                assert_eq!(
-                    r.occ(c, i),
-                    naive_occ(l, c, i),
-                    "occ({c}, {i}) rate {rate} l={l:?}"
-                );
-                assert_eq!(
-                    fused[(c - 1) as usize],
-                    r.occ(c, i),
-                    "occ_all({i})[{}] rate {rate} l={l:?}",
-                    c - 1
-                );
+                assert_eq!(r.occ(c, i), counts[c as usize], "occ({c}, {i}) {what}");
             }
         }
         for (i, &c) in l.iter().enumerate() {
-            assert_eq!(r.symbol(i), c, "symbol({i})");
-            let want = (c != SENTINEL).then(|| (c, naive_occ(l, c, i)));
-            assert_eq!(r.symbol_rank(i), want, "symbol_rank({i}) rate {rate}");
+            assert_eq!(r.symbol(i), c, "symbol({i}) {what}");
+            let want = (c != SENTINEL).then(|| (c, prefix[i][c as usize]));
+            assert_eq!(r.symbol_rank(i), want, "symbol_rank({i}) {what}");
         }
-        // The pair fusion agrees with two independent lookups for every
-        // boundary combination (same-block, cross-block, len, empty).
-        for lo in (0..=l.len()).step_by(3) {
-            for hi in (lo..=l.len()).step_by(5) {
+        // The pair fusion agrees with the naive counts for every kind
+        // of boundary pair: same-block, cross-block, len, empty.
+        let n = l.len();
+        for lo in (0..=n).step_by(n / 40 + 1) {
+            let near = [0, 1, 2, 31, 32, 33, 63, 64, 65].map(|d| lo + d);
+            let far = (lo..=n).step_by(n / 50 + 1);
+            for hi in near.into_iter().filter(|&hi| hi <= n).chain(far) {
                 assert_eq!(
                     r.occ_all_pair(lo, hi),
-                    (r.occ_all(lo), r.occ_all(hi)),
-                    "pair({lo}, {hi}) rate {rate}"
+                    (bases(lo), bases(hi)),
+                    "pair({lo}, {hi}) {what}"
                 );
+            }
+        }
+    }
+
+    /// Check `l` at `rate` on the owned and the mapped index, each with
+    /// the dispatched and the forced-scalar kernels and popcount.
+    fn check_all(l: &[u8], rate: usize) {
+        let owned = RankAll::new(l, rate);
+        let mapped = reopen_mapped(&owned);
+        let _forcing = simd::force_scalar_lock();
+        for (r, open) in [(&owned, "owned"), (&mapped, "mmap")] {
+            for scalar in [false, true] {
+                simd::force_scalar(scalar);
+                check_rank(r, l, &format!("rate {rate} {open} scalar={scalar} l={l:?}"));
+                simd::force_scalar(false);
             }
         }
     }
@@ -611,10 +693,39 @@ mod tests {
     fn random_columns_all_rates() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(31);
-        for rate in [4usize, 8, 16, 64, 128] {
+        for rate in RATES {
             for _ in 0..20 {
                 let n = rng.gen_range(1..500);
                 let dollar = rng.gen_range(0..n);
+                let l: Vec<u8> = (0..n)
+                    .map(|i| if i == dollar { 0 } else { rng.gen_range(1..=4) })
+                    .collect();
+                check_all(&l, rate);
+            }
+        }
+    }
+
+    /// Every checkpoint rate the repository uses.
+    const RATES: [usize; 8] = [4, 8, 16, 32, 64, 128, 256, 1024];
+
+    #[test]
+    fn sentinel_at_block_edges() {
+        // Three blocks of random bases, the sentinel at slot 0, 31, 32,
+        // 63 or 64 of the middle block, at that block's last slot, or at
+        // the column's last slot. Slots before it in the same block
+        // make the code-0 cancellation matter.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(63);
+        for rate in RATES {
+            let span = rate.max(SLOTS_PER_WORD);
+            let n = 3 * span;
+            let mut dollars: Vec<usize> = [0, 31, 32, 63, 64, span - 1]
+                .into_iter()
+                .filter(|&slot| slot < span)
+                .map(|slot| span + slot)
+                .collect();
+            dollars.push(n - 1);
+            for dollar in dollars {
                 let l: Vec<u8> = (0..n)
                     .map(|i| if i == dollar { 0 } else { rng.gen_range(1..=4) })
                     .collect();
@@ -842,6 +953,45 @@ mod tests {
     #[should_panic(expected = "multiple of 4")]
     fn rejects_bad_rate() {
         RankAll::new(&[0], 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "power-of-two multiple of 4")]
+    fn rejects_non_power_of_two_rate() {
+        RankAll::new(&[0], 12);
+    }
+
+    #[test]
+    fn loaders_reject_non_power_of_two_rates() {
+        use crate::serialize::{SerReader, SerWriter, SerializeError};
+        let l = [1u8, 0, 2, 3, 4];
+        let totals = RankAll::new(&l, 4).totals;
+        for rate in [12usize, 96, 0] {
+            // Block arrays sized for the span a multiple-of-4 rate once
+            // implied (`lcm(rate, 32)`, 32 for rate 0), so only the rate
+            // check can reject them.
+            let span = if rate == 0 { 32 } else { lcm(rate, 32) };
+            let blocks = vec![0u64; l.len().div_ceil(span) * (HEADER_WORDS + span / 32)];
+            let got = RankAll::from_store(blocks.clone().into(), rate, 1, l.len(), totals);
+            assert!(
+                matches!(got, Err(SerializeError::Malformed("rankall rate"))),
+                "from_store rate {rate}: {got:?}"
+            );
+            let mut bytes = Vec::new();
+            let mut w = SerWriter::new(&mut bytes);
+            for v in [l.len(), rate, 1] {
+                w.u64(v as u64).unwrap();
+            }
+            for t in totals {
+                w.u32(t).unwrap();
+            }
+            w.vec_u64(&blocks).unwrap();
+            let got = RankAll::read_from(&mut SerReader::new(&bytes[..]));
+            assert!(
+                matches!(got, Err(SerializeError::Malformed("rankall rate"))),
+                "read_from rate {rate}: {got:?}"
+            );
+        }
     }
 
     #[test]

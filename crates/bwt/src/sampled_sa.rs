@@ -13,6 +13,7 @@ use kmm_par::{aligned_spans, ThreadPool};
 
 use crate::limits::{check_text_len, TextTooLarge};
 use crate::mmap::{U32Store, U64Store};
+use crate::simd::popcount;
 
 /// A bit vector with O(1) rank support (one u32 prefix count per 64-bit word).
 #[derive(Debug, Clone)]
@@ -36,7 +37,7 @@ impl BitRank {
         let mut acc = 0u32;
         prefix.push(0);
         for &w in &words {
-            acc += w.count_ones();
+            acc += popcount(w);
             prefix.push(acc);
         }
         BitRank {
@@ -71,7 +72,7 @@ impl BitRank {
         let mut r = self.prefix[w];
         let rem = i % 64;
         if rem > 0 {
-            r += (self.words[w] & ((1u64 << rem) - 1)).count_ones();
+            r += popcount(self.words[w] & ((1u64 << rem) - 1));
         }
         r
     }
@@ -138,7 +139,7 @@ impl SampledSuffixArray {
         let mut acc = 0u32;
         prefix.push(0);
         for &w in &words {
-            acc += w.count_ones();
+            acc += popcount(w);
             prefix.push(acc);
         }
         Ok(SampledSuffixArray {
@@ -192,7 +193,7 @@ impl SampledSuffixArray {
         if verify_prefix {
             let mut acc = 0u32;
             for (w, &p) in words.iter().zip(prefix.iter().skip(1)) {
-                acc = acc.wrapping_add(w.count_ones());
+                acc = acc.wrapping_add(popcount(*w));
                 if p != acc {
                     return Err(SerializeError::Malformed("rank directory"));
                 }
@@ -318,7 +319,7 @@ impl SampledSuffixArray {
         let mut acc = 0u32;
         prefix.push(0);
         for &w in &words {
-            acc += w.count_ones();
+            acc += popcount(w);
             prefix.push(acc);
         }
         let samples = r.vec_u32()?;

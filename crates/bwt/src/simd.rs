@@ -9,19 +9,28 @@
 //! 256-bit registers and popcounts them with the classic pshufb
 //! nibble-LUT + `psadbw` reduction, four words per step.
 //!
+//! Every popcount in the rank structures goes through [`popcount`], which
+//! issues the `popcnt` instruction when the CPU has it and falls back to
+//! the portable `count_ones()` otherwise. The build targets baseline
+//! x86-64, where `count_ones()` compiles to a ~12-instruction SWAR
+//! sequence, so the instruction is reached through inline asm behind a
+//! runtime check rather than a build setting (a compile-time `+popcnt`
+//! would fault on CPUs without it and leave the portable path untested).
+//!
 //! Dispatch is decided once per process with
-//! `is_x86_feature_detected!("avx2")` and cached; the SIMD path can be
-//! disabled for A/B testing either with the `KMM_NO_SIMD=1` environment
-//! variable (read once at first use) or in-process via [`force_scalar`]
-//! (used by `experiments occbench` to time both kernels in one run). Both
-//! kernels are bit-identical by construction and pinned so by proptest.
+//! `is_x86_feature_detected!` and cached; the AVX2 kernel and the
+//! `popcnt` instruction can both be disabled for A/B testing either with
+//! the `KMM_NO_SIMD=1` environment variable (read once at first use) or
+//! in-process via [`force_scalar`] (used by `experiments occbench` to
+//! time both paths in one run). All paths are bit-identical by
+//! construction and pinned so by proptest.
 //!
 //! The module also hosts [`prefetch_read`], the software-prefetch hint
 //! used to pull the *next* LF-target rank block into cache while the
 //! search layer is still working on the current one (a no-op off
 //! x86_64).
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 /// Symbols stored per `u64` word (2 bits each). Mirrors the layout
@@ -36,9 +45,29 @@ pub(crate) const LSB: u64 = 0x5555_5555_5555_5555;
 /// process without re-exec'ing under `KMM_NO_SIMD`.
 static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
 
-/// Force (or release) the scalar kernel for this process.
+/// Force (or release) the scalar kernel and the portable popcount for
+/// this process.
 pub fn force_scalar(on: bool) {
     FORCE_SCALAR.store(on, Ordering::Relaxed);
+    POPCOUNT.store(popcount_path(), Ordering::Relaxed);
+}
+
+/// Serialises the unit tests that flip [`force_scalar`]: the switch is
+/// process-wide and tests run on parallel threads.
+#[cfg(test)]
+pub(crate) fn force_scalar_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Whether `KMM_NO_SIMD` is set to anything but `0`. Read once.
+fn simd_disabled() -> bool {
+    static DISABLED: OnceLock<bool> = OnceLock::new();
+    *DISABLED.get_or_init(|| {
+        std::env::var("KMM_NO_SIMD")
+            .map(|v| v != "0")
+            .unwrap_or(false)
+    })
 }
 
 /// Whether the AVX2 kernel is usable: compiled for x86_64, the CPU
@@ -46,21 +75,96 @@ pub fn force_scalar(on: bool) {
 fn avx2_usable() -> bool {
     static USABLE: OnceLock<bool> = OnceLock::new();
     *USABLE.get_or_init(|| {
-        let disabled = std::env::var("KMM_NO_SIMD")
-            .map(|v| v != "0")
-            .unwrap_or(false);
-        if disabled {
-            return false;
-        }
         #[cfg(target_arch = "x86_64")]
         {
-            std::arch::is_x86_feature_detected!("avx2")
+            !simd_disabled() && std::arch::is_x86_feature_detected!("avx2")
         }
         #[cfg(not(target_arch = "x86_64"))]
         {
             false
         }
     })
+}
+
+/// [`POPCOUNT`] states: not decided yet, the `popcnt` instruction, the
+/// portable `count_ones()`.
+const POP_UNDECIDED: u8 = 0;
+const POP_HW: u8 = 1;
+const POP_PORTABLE: u8 = 2;
+
+/// The popcount path [`popcount`] takes, cached in one byte so the hot
+/// path pays a single relaxed load (the byte publishes no other data).
+/// Written by [`init`] and by [`force_scalar`].
+static POPCOUNT: AtomicU8 = AtomicU8::new(POP_UNDECIDED);
+
+/// The popcount path for this process right now: `popcnt` when compiled
+/// for x86_64, the CPU reports it, `KMM_NO_SIMD` is unset/`0` and
+/// [`force_scalar`] is off.
+fn popcount_path() -> u8 {
+    #[cfg(target_arch = "x86_64")]
+    {
+        static CPU: OnceLock<bool> = OnceLock::new();
+        let cpu = *CPU.get_or_init(|| std::arch::is_x86_feature_detected!("popcnt"));
+        if cpu && !simd_disabled() && !FORCE_SCALAR.load(Ordering::Relaxed) {
+            return POP_HW;
+        }
+    }
+    POP_PORTABLE
+}
+
+/// Decide both dispatches now. Rank structures call this when they are
+/// built or opened, so no query pays for feature detection or for
+/// reading `KMM_NO_SIMD` (which allocates when the variable is set).
+/// A concurrent [`force_scalar`] that already stored its decision wins.
+#[cold]
+pub(crate) fn init() {
+    avx2_usable();
+    if POPCOUNT.load(Ordering::Relaxed) == POP_UNDECIDED {
+        let _ = POPCOUNT.compare_exchange(
+            POP_UNDECIDED,
+            popcount_path(),
+            Ordering::Relaxed,
+            Ordering::Relaxed,
+        );
+    }
+}
+
+/// Number of set bits of `x`: the `popcnt` instruction when the CPU has
+/// it (see [`active_popcount`]), else the portable `count_ones()`. Both
+/// return the same value on every input. The path is decided when the
+/// first rank structure is built or opened; until then (and under
+/// `KMM_NO_SIMD=1` or [`force_scalar`]) it is the portable one.
+#[inline(always)]
+pub fn popcount(x: u64) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if POPCOUNT.load(Ordering::Relaxed) == POP_HW {
+        let n: u64;
+        // SAFETY: POP_HW is stored only from `popcount_path`, after
+        // `is_x86_feature_detected!("popcnt")` reported the instruction
+        // on this CPU. It touches registers only.
+        unsafe {
+            core::arch::asm!(
+                "popcnt {n}, {x}",
+                x = in(reg) x,
+                n = lateout(reg) n,
+                options(pure, nomem, nostack),
+            );
+        }
+        return n as u32;
+    }
+    x.count_ones()
+}
+
+/// The popcount [`popcount`] dispatches to: `"popcnt"` or `"portable"`.
+/// Reflects [`force_scalar`] and `KMM_NO_SIMD` as well as feature
+/// detection.
+pub fn active_popcount() -> &'static str {
+    init();
+    if POPCOUNT.load(Ordering::Relaxed) == POP_HW {
+        "popcnt"
+    } else {
+        "portable"
+    }
 }
 
 /// The tally kernel [`count_all`] currently dispatches to: `"avx2"` or
@@ -76,19 +180,18 @@ pub fn active_kernel() -> &'static str {
 /// Per-code occurrence counts of the 2-bit slots selected by `keep`
 /// (a sub-mask of [`LSB`]) in word `w`.
 ///
-/// This is *the* shared tally: the high/low bit planes of the word are
-/// intersected three ways and popcounted, and code 0 falls out of the
-/// slot total by subtraction. The scalar loop, the word-at-a-time tail
-/// of the AVX2 kernel, and the per-code `occ` fast path all reduce to
-/// this helper, so a change here changes every path in lockstep.
+/// The high/low bit planes of the word are intersected three ways and
+/// popcounted, and code 0 falls out of the slot total by subtraction.
+/// The word-at-a-time tail of the AVX2 kernel reduces to this helper;
+/// [`count_all_scalar`] runs the same algebra on two words at once.
 #[inline(always)]
 pub(crate) fn plane_counts(w: u64, keep: u64) -> [u32; 4] {
     let hi = (w >> 1) & keep;
     let lo = w & keep;
-    let c3 = (hi & lo).count_ones();
-    let c2 = (hi & !lo).count_ones();
-    let c1 = (!hi & lo).count_ones();
-    [keep.count_ones() - c3 - c2 - c1, c1, c2, c3]
+    let c3 = popcount(hi & lo);
+    let c2 = popcount(hi & !lo);
+    let c1 = popcount(!hi & lo);
+    [popcount(keep) - c3 - c2 - c1, c1, c2, c3]
 }
 
 /// Keep-mask selecting slots `[0, end_slot)` of a word (`end_slot` in
@@ -105,21 +208,68 @@ pub(crate) fn tail_keep(end_slot: usize) -> u64 {
 
 /// Scalar reference kernel: add the per-code counts of slots `[0, end)`
 /// of `payload` into `counts`.
+///
+/// Two adjacent words share one register: word j's high/low planes fill
+/// the even bits and word j + 1's, shifted left by one, the odd bits, so
+/// a pair costs the three plane popcounts of [`plane_counts`] instead of
+/// six. Code 0 is the slot total, `end`, minus the other three.
 #[inline]
 pub fn count_all_scalar(payload: &[u64], end: usize, counts: &mut [u32; 4]) {
     let (last_word, last_slot) = (end / SLOTS_PER_WORD, end % SLOTS_PER_WORD);
-    for &w in &payload[..last_word] {
-        let c = plane_counts(w, LSB);
-        for (acc, add) in counts.iter_mut().zip(c) {
-            *acc += add;
-        }
+    let planes = |w: u64, keep: u64| ((w >> 1) & keep, w & keep);
+    let mut c = [0u32; 4];
+    let mut tally = |(h0, l0): (u64, u64), (h1, l1): (u64, u64)| {
+        let (hi, lo) = (h0 | h1 << 1, l0 | l1 << 1);
+        c[3] += popcount(hi & lo);
+        c[2] += popcount(hi & !lo);
+        c[1] += popcount(!hi & lo);
+    };
+    let mut pairs = payload[..last_word].chunks_exact(2);
+    for p in &mut pairs {
+        tally(planes(p[0], LSB), planes(p[1], LSB));
     }
-    if last_slot != 0 {
-        let c = plane_counts(payload[last_word], tail_keep(last_slot));
-        for (acc, add) in counts.iter_mut().zip(c) {
-            *acc += add;
-        }
+    // The unpaired whole word, if any, shares a pass with the partial
+    // last word, if any.
+    let odd = pairs
+        .remainder()
+        .first()
+        .map_or((0, 0), |&w| planes(w, LSB));
+    let tail = match last_slot {
+        0 => (0, 0),
+        _ => planes(payload[last_word], tail_keep(last_slot)),
+    };
+    tally(odd, tail);
+    c[0] = end as u32 - c[1] - c[2] - c[3];
+    for (acc, add) in counts.iter_mut().zip(c) {
+        *acc += add;
     }
+}
+
+/// Occurrences of the 2-bit `code` in slots `[0, end)` of `payload`.
+///
+/// One match mask per word, `!(x | x >> 1) & LSB` with
+/// `x = w ^ code·LSB`, marks the slots holding `code`; two adjacent
+/// words share one popcount (word j's mask on the even bits, word
+/// j + 1's shifted onto the odd bits).
+#[inline]
+pub(crate) fn count_code(payload: &[u64], end: usize, code: u8) -> u32 {
+    let (last_word, last_slot) = (end / SLOTS_PER_WORD, end % SLOTS_PER_WORD);
+    let pattern = code as u64 * LSB;
+    let matches = |w: u64, keep: u64| {
+        let x = w ^ pattern;
+        !(x | x >> 1) & keep
+    };
+    let mut pairs = payload[..last_word].chunks_exact(2);
+    let mut n = 0;
+    for p in &mut pairs {
+        n += popcount(matches(p[0], LSB) | matches(p[1], LSB) << 1);
+    }
+    let odd = pairs.remainder().first().map_or(0, |&w| matches(w, LSB));
+    let tail = match last_slot {
+        0 => 0,
+        _ => matches(payload[last_word], tail_keep(last_slot)),
+    };
+    n + popcount(odd | tail << 1)
 }
 
 /// Add the per-code occurrence counts of slots `[0, end)` of `payload`
@@ -258,6 +408,7 @@ mod tests {
             payload in proptest::collection::vec(any::<u64>(), 1..24),
             end_sel in any::<u32>(),
         ) {
+            let _forcing = force_scalar_lock();
             let slots = payload.len() * SLOTS_PER_WORD;
             let end = end_sel as usize % (slots + 1);
             let expect = naive(&payload, end);
@@ -273,8 +424,29 @@ mod tests {
             force_scalar(true);
             let mut forced = [0u32; 4];
             count_all(&payload, end, &mut forced);
+            let forced_codes: [u32; 4] = std::array::from_fn(|c| count_code(&payload, end, c as u8));
             force_scalar(false);
             prop_assert_eq!(forced, expect);
+            prop_assert_eq!(forced_codes, expect);
+
+            // The one-code tally agrees lane by lane.
+            let codes: [u32; 4] = std::array::from_fn(|c| count_code(&payload, end, c as u8));
+            prop_assert_eq!(codes, expect);
+        }
+
+        /// Both popcount paths agree with `count_ones` on every word.
+        #[test]
+        fn popcount_matches_count_ones(words in proptest::collection::vec(any::<u64>(), 1..64)) {
+            let _forcing = force_scalar_lock();
+            for scalar in [false, true] {
+                force_scalar(scalar);
+                for &w in &words {
+                    prop_assert_eq!(popcount(w), w.count_ones(), "{:#x} scalar={}", w, scalar);
+                }
+                force_scalar(false);
+            }
+            prop_assert_eq!(popcount(0), 0);
+            prop_assert_eq!(popcount(u64::MAX), 64);
         }
     }
 
@@ -292,12 +464,17 @@ mod tests {
 
     #[test]
     fn active_kernel_reflects_force_scalar() {
+        let _forcing = force_scalar_lock();
         let idle = active_kernel();
         assert!(idle == "avx2" || idle == "scalar");
+        let idle_popcount = active_popcount();
+        assert!(idle_popcount == "popcnt" || idle_popcount == "portable");
         force_scalar(true);
         assert_eq!(active_kernel(), "scalar");
+        assert_eq!(active_popcount(), "portable");
         force_scalar(false);
         assert_eq!(active_kernel(), idle);
+        assert_eq!(active_popcount(), idle_popcount);
     }
 
     #[test]

@@ -627,4 +627,26 @@ for f in bidir bidir-nosimd bidir-mt; do
     cmp "$tmp/map5-bwt.tsv" "$tmp/map5-$f.tsv"
 done
 
+echo "== SIMD/scalar bit-identity: bidir, explain and A(.) map under KMM_NO_SIMD=1 =="
+# KMM_NO_SIMD=1 selects the scalar tally and the portable popcount. Both
+# must reproduce the dispatched kernels bit for bit beyond the baseline
+# workload too: the bidir sweep's counters, the explain depth profile,
+# and A(.) mapping, which ranks through occ_all_pair and lf_with.
+KMM_NO_SIMD=1 target/release/experiments bidir --out-dir "$tmp/bidir-nosimd" > /dev/null
+"$kmm" bench diff "$tmp/bidir-a/BENCH_bidir.json" "$tmp/bidir-nosimd/BENCH_bidir.json" \
+    --assert-identical 2> "$tmp/diff-bidir-nosimd.txt"
+grep -q "deterministic counters: identical" "$tmp/diff-bidir-nosimd.txt"
+KMM_NO_SIMD=1 target/release/experiments explain --out-dir "$tmp/explain-nosimd" > /dev/null
+"$kmm" bench diff "$tmp/bench/BENCH_explain.json" "$tmp/explain-nosimd/BENCH_explain.json" \
+    --assert-identical 2> "$tmp/diff-explain-nosimd.txt"
+grep -q "deterministic counters: identical" "$tmp/diff-explain-nosimd.txt"
+map3a() {
+    "$kmm" map --index "$tmp/ref-bd.idx" --reads "$tmp/reads100.fq" -k 3 --method a \
+        --both-strands true
+}
+map3a > "$tmp/map3-a.tsv" 2>/dev/null
+KMM_NO_SIMD=1 map3a > "$tmp/map3-a-nosimd.tsv" 2>/dev/null
+test "$(wc -l < "$tmp/map3-a.tsv")" -gt 1
+cmp "$tmp/map3-a.tsv" "$tmp/map3-a-nosimd.tsv"
+
 echo "verify: OK"
